@@ -234,8 +234,11 @@ type execState struct {
 	crashes   int
 	// injected counts FailDiskOnce ops; outstanding() compares it with the
 	// disk's consumed-fault counter to decide whether a read error can still
-	// be blamed on the environment.
-	injected uint64
+	// be blamed on the environment. The counter lives in StoreConfig.Obs,
+	// which callers may reuse across sequences, so consumption is measured
+	// from consumedBase, its value when this sequence started.
+	injected     uint64
+	consumedBase uint64
 }
 
 // kv exposes the node under test through the same narrow store.KV interface
@@ -248,7 +251,7 @@ func (es *execState) kv() store.KV { return es.st }
 
 // outstanding returns the number of injected faults that have not yet fired.
 func (es *execState) outstanding() uint64 {
-	consumed := es.d.Stats().InjectedErrs
+	consumed := es.d.Stats().InjectedErrs - es.consumedBase
 	if consumed >= es.injected {
 		return 0
 	}
@@ -284,7 +287,8 @@ func runSeqDisk(ctx context.Context, seq []Op, cfg Config) (int, int, *disk.Disk
 	if err != nil {
 		return 0, 0, nil, fmt.Errorf("harness: store setup: %w", err)
 	}
-	es := &execState{cfg: cfg, d: d, st: st, ref: model.NewRefStore(cfg.StoreConfig.Bugs), inService: true}
+	es := &execState{cfg: cfg, d: d, st: st, ref: model.NewRefStore(cfg.StoreConfig.Bugs), inService: true,
+		consumedBase: d.Stats().InjectedErrs}
 	tracer := cfg.StoreConfig.Obs
 	for i, op := range seq {
 		if cerr := ctx.Err(); cerr != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -114,5 +115,42 @@ func TestFailureCarriesTrace(t *testing.T) {
 	}
 	if out := res.Failure.FormatTrace(); out == "" {
 		t.Fatal("FormatTrace returned empty output for non-empty trace")
+	}
+}
+
+// TestSharedRegistryKeepsFaultAccounting: a StoreConfig.Obs reused across
+// cases carries disk.injected_errs over from one to the next, and the
+// harness must still tell whether its own injected faults have fired. The
+// case reads a shard that spans extents while every extent has a fault armed:
+// the store's own retry absorbs the first fault, the second surfaces, and the
+// harness retries through it only while it counts faults outstanding. Run
+// twice back to back on one registry, the case must get the verdict a private
+// registry gives; with absolute counter readings the second run sees its
+// faults as consumed by the first and reports the transient error as lost
+// data.
+func TestSharedRegistryKeepsFaultAccounting(t *testing.T) {
+	cfg := Config{Seed: 7, Cases: 1}.withDefaults()
+	extents := cfg.StoreConfig.Disk.ExtentCount
+	big := bytes.Repeat([]byte{0xAB}, cfg.StoreConfig.Disk.ExtentBytes()+1)
+	seq := []Op{{Kind: OpPut, Key: "big", Value: big}, {Kind: OpPump}}
+	for round := 0; round < extents; round++ {
+		for ext := 0; ext < extents; ext++ {
+			seq = append(seq, Op{Kind: OpFailDiskOnce, Extent: ext})
+		}
+		seq = append(seq, Op{Kind: OpDrainCache}, Op{Kind: OpGet, Key: "big"})
+	}
+
+	private := cfg
+	private.StoreConfig.Obs = obs.New(nil)
+	_, _, wantErr := RunSeq(seq, private)
+	if fired := private.StoreConfig.Obs.Snapshot().Counters["disk.injected_errs"]; fired < uint64(2*extents) {
+		t.Fatalf("%d faults fired in %d reads: none surfaced past the store's retry", fired, extents)
+	}
+	shared := cfg
+	shared.StoreConfig.Obs = obs.New(nil)
+	for run := 0; run < 2; run++ {
+		if _, _, gotErr := RunSeq(seq, shared); fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("run %d: shared registry verdict %v, private registry verdict %v", run, gotErr, wantErr)
+		}
 	}
 }

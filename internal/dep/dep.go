@@ -25,6 +25,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"shardstore/internal/coverage"
 	"shardstore/internal/disk"
@@ -101,14 +102,20 @@ type Dependency struct {
 	future bool
 	bound  *Dependency
 
-	persistMemo bool
+	// persistMemo latches the monotonic answer. It is written under the
+	// scheduler lock but read by IsPersistent's lock-free fast path.
+	persistMemo atomic.Bool
 }
 
 // Resolved returns a dependency that is always persistent — the root of
 // every dependency chain.
 func Resolved() *Dependency { return resolvedDep }
 
-var resolvedDep = &Dependency{persistMemo: true}
+var resolvedDep = func() *Dependency {
+	d := &Dependency{}
+	d.persistMemo.Store(true)
+	return d
+}()
 
 // And combines d with others: the result is persistent only when d and all
 // others are persistent. Combining dependencies from different schedulers is
@@ -156,7 +163,7 @@ func (d *Dependency) IsPersistent() bool {
 	if d == nil {
 		return true
 	}
-	if d.persistMemo {
+	if d.persistMemo.Load() {
 		return true
 	}
 	if d.s == nil {
@@ -186,14 +193,14 @@ func (d *Dependency) scheduler() *Scheduler {
 
 // computePersistent assumes the scheduler lock is held (or no scheduler).
 func (d *Dependency) computePersistent() bool {
-	if d.persistMemo {
+	if d.persistMemo.Load() {
 		return true
 	}
 	if d.future {
 		if d.bound == nil || !d.bound.computePersistent() {
 			return false
 		}
-		d.persistMemo = true
+		d.persistMemo.Store(true)
 		return true
 	}
 	for _, wb := range d.wbs {
@@ -212,7 +219,7 @@ func (d *Dependency) computePersistent() bool {
 			return false
 		}
 	}
-	d.persistMemo = true
+	d.persistMemo.Store(true)
 	return true
 }
 
@@ -220,7 +227,7 @@ func (d *Dependency) computePersistent() bool {
 // writeback may be issued. Caller holds the scheduler lock.
 func (wb *writeback) readyLocked() (ready bool, unboundFuture bool) {
 	for _, w := range wb.waits {
-		if w.future && w.bound == nil && !w.persistMemo {
+		if w.future && w.bound == nil && !w.persistMemo.Load() {
 			return false, true
 		}
 		if !w.computePersistent() {
@@ -497,7 +504,7 @@ func (s *Scheduler) classifyLocked(wb *writeback) {
 	seenWBs := map[uint64]bool{}
 	var visit func(d *Dependency)
 	visit = func(d *Dependency) {
-		if d == nil || d.persistMemo || seenDeps[d] {
+		if d == nil || d.persistMemo.Load() || seenDeps[d] {
 			return
 		}
 		seenDeps[d] = true

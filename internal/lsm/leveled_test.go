@@ -188,45 +188,60 @@ func TestLeveledLockstepRandomOps(t *testing.T) {
 	}
 }
 
-// TestApplyPlanEmptyOutput covers the empty-level compaction edge: a merge
+// TestCompactionEmptyOutput covers the empty-level compaction edge: a merge
 // whose entries cancel to nothing (tombstones over their own puts at the
 // deepest level) publishes pure removal — no output run, and the next
-// recovery sees the empty manifest.
-func TestApplyPlanEmptyOutput(t *testing.T) {
-	bugs := faults.NewSet()
-	cs := model.NewRefChunkStore(bugs)
-	ms := model.NewRefMetaStore()
-	tree, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{MaxRuns: 64}, nil, bugs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _ = tree.Put("k", []byte{1})
-	if _, err := tree.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	_, _ = tree.Delete("k")
-	if _, err := tree.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := tree.ApplyPlan(compact.Plan{Inputs: levelSeqs(tree, 0), OutLevel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Applied || res.BytesOut != 0 || res.DroppedTombstones != 1 {
-		t.Fatalf("empty-output result: %+v", res)
-	}
-	if tree.RunCount() != 0 {
-		t.Fatalf("runs after cancelling merge: %d", tree.RunCount())
-	}
-	if _, err := tree.Get("k"); !errors.Is(err, lsm.ErrNotFound) {
-		t.Fatalf("Get after cancelling merge: %v", err)
-	}
-	reopened, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{MaxRuns: 64}, nil, bugs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reopened.RunCount() != 0 {
-		t.Fatalf("recovered runs: %d", reopened.RunCount())
+// recovery sees the empty manifest. A leveled plan and the control-plane
+// whole-tree Compact take the same path.
+func TestCompactionEmptyOutput(t *testing.T) {
+	for name, merge := range map[string]func(*lsm.Tree) error{
+		"ApplyPlan": func(tree *lsm.Tree) error {
+			res, err := tree.ApplyPlan(compact.Plan{Inputs: levelSeqs(tree, 0), OutLevel: 1})
+			if err == nil && (!res.Applied || res.BytesOut != 0 || res.DroppedTombstones != 1) {
+				err = fmt.Errorf("empty-output result: %+v", res)
+			}
+			return err
+		},
+		"Compact": (*lsm.Tree).Compact,
+	} {
+		t.Run(name, func(t *testing.T) {
+			bugs := faults.NewSet()
+			cs := model.NewRefChunkStore(bugs)
+			ms := model.NewRefMetaStore()
+			tree, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{MaxRuns: 64}, nil, bugs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _ = tree.Put("k", []byte{1})
+			if _, err := tree.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			_, _ = tree.Delete("k")
+			if _, err := tree.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			gen := tree.ManifestGen()
+			if err := merge(tree); err != nil {
+				t.Fatal(err)
+			}
+			if tree.RunCount() != 0 || tree.ManifestGen() != gen+1 {
+				t.Fatalf("after cancelling merge: %d runs, generation %d (was %d)", tree.RunCount(), tree.ManifestGen(), gen)
+			}
+			if _, err := tree.Get("k"); !errors.Is(err, lsm.ErrNotFound) {
+				t.Fatalf("Get after cancelling merge: %v", err)
+			}
+			reopened, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{MaxRuns: 64}, nil, bugs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reopened.RunCount() != 0 || reopened.ManifestGen() != gen+1 {
+				t.Fatalf("recovered %d runs at generation %d, want the published empty manifest (generation %d)",
+					reopened.RunCount(), reopened.ManifestGen(), gen+1)
+			}
+			if keys, err := reopened.Keys(); err != nil || len(keys) != 0 {
+				t.Fatalf("recovered keys: %v %v", keys, err)
+			}
+		})
 	}
 }
 

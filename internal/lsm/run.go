@@ -79,8 +79,11 @@ func decodeRun(buf []byte) ([]Entry, error) {
 		entries = append(entries, Entry{Key: key, Value: append([]byte(nil), buf[pos:pos+int(vlen)]...)})
 		pos += int(vlen)
 	}
-	if !sort.SliceIsSorted(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key }) {
-		return nil, fmt.Errorf("%w: entries out of order", ErrCorruptRun)
+	// Strictly ascending: the merge relies on each source holding a key once.
+	for i := 1; i < len(entries); i++ {
+		if entries[i-1].Key >= entries[i].Key {
+			return nil, fmt.Errorf("%w: keys not strictly ascending", ErrCorruptRun)
+		}
 	}
 	return entries, nil
 }
@@ -94,30 +97,47 @@ func searchRun(entries []Entry, key string) (Entry, bool) {
 	return Entry{}, false
 }
 
-// mergeRuns merges runs ordered newest first into a single sorted entry list
-// with newest-wins semantics. If dropTombstones is true (full compaction),
-// deletion markers are elided from the output.
-func mergeRuns(runs [][]Entry, dropTombstones bool) []Entry {
-	latest := make(map[string]Entry)
-	order := make([]string, 0)
-	for _, run := range runs { // newest first: first writer wins
-		for _, e := range run {
-			if _, seen := latest[e.Key]; !seen {
-				latest[e.Key] = e
-				order = append(order, e.Key)
-			}
+// mergeIter is the merge of Keys and every compaction (Scan's is still
+// mergeRuns in scan.go): it walks sorted sources in ascending key order and
+// yields, for each key, the entry of the first source holding it. Sources are ordered newest first and each is strictly ascending (what
+// decodeRun enforces), so "first source" is newest-wins. Tombstones are
+// yielded like any entry; whether a marker may be elided depends on what lies
+// below the merge, which only the caller knows. With at most
+// MaxRuns+MaxLevels+2 sources a linear minimum beats a heap.
+type mergeIter struct {
+	srcs [][]Entry // each cut to its unconsumed suffix
+}
+
+// newMergeIter positions every source at its first key >= start.
+func newMergeIter(srcs [][]Entry, start string) *mergeIter {
+	m := &mergeIter{srcs: make([][]Entry, len(srcs))}
+	for i, s := range srcs {
+		m.srcs[i] = s[sort.Search(len(s), func(j int) bool { return s[j].Key >= start }):]
+	}
+	return m
+}
+
+// next returns the newest entry of the smallest unconsumed key, and false
+// once every source is exhausted.
+func (m *mergeIter) next() (Entry, bool) {
+	best := -1
+	for i, s := range m.srcs {
+		if len(s) > 0 && (best < 0 || s[0].Key < m.srcs[best][0].Key) {
+			best = i
 		}
 	}
-	sort.Strings(order)
-	out := make([]Entry, 0, len(order))
-	for _, k := range order {
-		e := latest[k]
-		if e.Tombstone && dropTombstones {
-			continue
-		}
-		out = append(out, e)
+	if best < 0 {
+		return Entry{}, false
 	}
-	return out
+	e := m.srcs[best][0]
+	// Sources newer than best hold only larger keys (the strict < keeps the
+	// first of equal heads), so the shadowed duplicates sit at or after it.
+	for i := best; i < len(m.srcs); i++ {
+		if s := m.srcs[i]; len(s) > 0 && s[0].Key == e.Key {
+			m.srcs[i] = s[1:]
+		}
+	}
+	return e, true
 }
 
 // DecodeRunForTest exposes decodeRun to the serialization-robustness

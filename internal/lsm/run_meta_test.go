@@ -3,6 +3,10 @@ package lsm
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -39,17 +43,35 @@ func TestRunDecodeNeverPanics(t *testing.T) {
 }
 
 func TestRunDecodeRejectsUnsorted(t *testing.T) {
-	entries := []Entry{{Key: "b", Value: []byte{1}}, {Key: "a", Value: []byte{2}}}
-	buf := encodeRun(entries)
-	if _, err := decodeRun(buf); err == nil {
-		t.Fatal("unsorted run accepted")
+	for name, entries := range map[string][]Entry{
+		"descending": {{Key: "b", Value: []byte{1}}, {Key: "a", Value: []byte{2}}},
+		"duplicate":  {{Key: "a", Value: []byte{1}}, {Key: "a", Value: []byte{2}}, {Key: "b", Value: []byte{3}}},
+	} {
+		if _, err := decodeRun(encodeRun(entries)); !errors.Is(err, ErrCorruptRun) {
+			t.Fatalf("%s run: got %v, want ErrCorruptRun", name, err)
+		}
 	}
 }
 
-func TestMergeRunsNewestWins(t *testing.T) {
+// drainMerge collects a merge from start, eliding tombstones on request —
+// the two ways the tree consumes the iterator.
+func drainMerge(srcs [][]Entry, start string, dropTomb bool) []Entry {
+	var out []Entry
+	for it := newMergeIter(srcs, start); ; {
+		e, ok := it.next()
+		if !ok {
+			return out
+		}
+		if !(e.Tombstone && dropTomb) {
+			out = append(out, e)
+		}
+	}
+}
+
+func TestMergeIterNewestWins(t *testing.T) {
 	newer := []Entry{{Key: "k", Value: []byte{2}}, {Key: "x", Tombstone: true}}
 	older := []Entry{{Key: "k", Value: []byte{1}}, {Key: "x", Value: []byte{9}}, {Key: "y", Value: []byte{3}}}
-	merged := mergeRuns([][]Entry{newer, older}, true)
+	merged := drainMerge([][]Entry{newer, older}, "", true)
 	if len(merged) != 2 {
 		t.Fatalf("merged: %+v", merged)
 	}
@@ -59,9 +81,59 @@ func TestMergeRunsNewestWins(t *testing.T) {
 	if merged[1].Key != "y" {
 		t.Fatalf("expected y to survive: %+v", merged)
 	}
-	withTombs := mergeRuns([][]Entry{newer, older}, false)
-	if len(withTombs) != 3 {
+	withTombs := drainMerge([][]Entry{newer, older}, "", false)
+	if len(withTombs) != 3 || !withTombs[1].Tombstone {
 		t.Fatalf("tombstones dropped when they should be kept: %+v", withTombs)
+	}
+}
+
+// TestMergeIterMatchesMapOracle is the iterator's property: for random
+// newest-first runs and a random seek key, its output equals the obvious
+// specification — fold the runs oldest to newest into a map, sort the keys,
+// keep those at or after start — with and without tombstone elision.
+func TestMergeIterMatchesMapOracle(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		key := func() string { return fmt.Sprintf("k%02d", rng.Intn(40)) }
+		srcs := make([][]Entry, rng.Intn(7))
+		for i := range srcs {
+			inRun := make(map[string]Entry)
+			for n := rng.Intn(25); n > 0; n-- {
+				k := key()
+				inRun[k] = Entry{Key: k, Value: []byte{byte(i), byte(n)}, Tombstone: rng.Intn(4) == 0}
+			}
+			for _, e := range inRun {
+				srcs[i] = append(srcs[i], e)
+			}
+			sort.Slice(srcs[i], func(a, b int) bool { return srcs[i][a].Key < srcs[i][b].Key })
+		}
+		start := ""
+		if rng.Intn(4) > 0 {
+			start = key()
+		}
+		for _, dropTomb := range []bool{false, true} {
+			latest := make(map[string]Entry)
+			for i := len(srcs) - 1; i >= 0; i-- {
+				for _, e := range srcs[i] {
+					latest[e.Key] = e
+				}
+			}
+			var want []Entry
+			for k, e := range latest {
+				if k >= start && !(e.Tombstone && dropTomb) {
+					want = append(want, e)
+				}
+			}
+			sort.Slice(want, func(a, b int) bool { return want[a].Key < want[b].Key })
+			if got := drainMerge(srcs, start, dropTomb); !reflect.DeepEqual(got, want) {
+				t.Logf("seed %d start %q dropTomb %v:\n got %v\nwant %v", seed, start, dropTomb, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,11 +1,14 @@
-// Snapshot-consistent range scans over the tree: one merged, ordered view of
-// memtable + flushing generation + every on-disk run, pinned against
+// Snapshot-consistent range scans over the tree: one ordered, newest-wins
+// merge of memtable + flushing generation + every on-disk run, pinned against
 // concurrent flush/compaction by the manifest generation. The scan snapshots
 // the run list under t.mu, loads every run, then re-checks the generation:
 // if a flush or compaction published a new generation mid-load, the view may
 // straddle the swap (some runs read pre-swap, some post-swap), so the scan
 // discards it and re-snapshots. Loaded entry slices are immutable once
-// decoded, so a view whose generation re-check passes is a true snapshot.
+// decoded, so sources whose generation re-check passes are a true snapshot.
+// A page still merges the whole snapshot before it filters (mergeRuns below),
+// so it costs the tree, not the range; Keys already walks the sources with
+// mergeIter.
 package lsm
 
 import (
@@ -26,8 +29,94 @@ const maxScanAttempts = 4
 func (t *Tree) Scan(start, end string, limit int) ([]Entry, bool, error) {
 	opStart := t.obs.Now()
 	t.met.scans.Inc()
+	out, more, err := t.scanRange(start, end, limit)
+	if err != nil {
+		return nil, false, err
+	}
+	// Run-cache and memtable slices must not escape to callers.
+	for i := range out {
+		out[i].Value = append([]byte(nil), out[i].Value...)
+	}
+	t.met.scanEntries.Add(uint64(len(out)))
+	t.met.scanLat.Observe(t.obs.Now() - opStart)
+	if t.obs.Tracing() {
+		t.obs.Record("lsm", "scan", start, "ok", t.obs.Now()-opStart)
+	}
+	return out, more, nil
+}
+
+// Keys implements Index: the live keys of one snapshot, ascending. Values are
+// neither merged nor copied.
+func (t *Tree) Keys() ([]string, error) {
+	srcs, err := t.scanSnapshot("", "")
+	if err != nil {
+		return nil, err
+	}
+	var keys []string
+	for it := newMergeIter(srcs, ""); ; {
+		e, ok := it.next()
+		if !ok {
+			return keys, nil
+		}
+		if !e.Tombstone {
+			keys = append(keys, e.Key)
+		}
+	}
+}
+
+// scanRange collects the live entries of [start, end) up to limit from one
+// snapshot. The returned values alias run-cache and memtable slices
+// (immutable, but the tree's own).
+func (t *Tree) scanRange(start, end string, limit int) ([]Entry, bool, error) {
+	srcs, err := t.scanSnapshot(start, end)
+	if err != nil {
+		return nil, false, err
+	}
+	out := make([]Entry, 0)
+	for _, e := range mergeRuns(srcs) {
+		if e.Key < start || e.Tombstone {
+			continue
+		}
+		if end != "" && e.Key >= end {
+			break
+		}
+		if limit > 0 && len(out) >= limit {
+			return out, true, nil
+		}
+		out = append(out, e)
+	}
+	return out, false, nil
+}
+
+// mergeRuns materialises the newest-wins union of srcs (newest first),
+// tombstones kept, sorted by key. It is the merge Scan had before mergeIter
+// and is kept for Scan alone: draining newMergeIter(srcs, start) up to
+// end/limit in scanRange replaces it and makes a page cost runs * log n +
+// limit. That switch is held back because the repository's benchmark gate
+// cannot admit its effect on scan_mixed in one step (CHANGES.md, PR 13).
+func mergeRuns(srcs [][]Entry) []Entry {
+	latest := make(map[string]Entry)
+	order := make([]string, 0)
+	for _, src := range srcs { // newest first: first writer wins
+		for _, e := range src {
+			if _, seen := latest[e.Key]; !seen {
+				latest[e.Key] = e
+				order = append(order, e.Key)
+			}
+		}
+	}
+	sort.Strings(order)
+	out := make([]Entry, 0, len(order))
+	for _, k := range order {
+		out = append(out, latest[k])
+	}
+	return out
+}
+
+// scanSnapshot returns the sources of one consistent view, newest first.
+func (t *Tree) scanSnapshot(start, end string) ([][]Entry, error) {
 	for attempt := 0; attempt < maxScanAttempts; attempt++ {
-		view, gen, torn, err := t.scanView()
+		srcs, gen, torn, err := t.scanSources(start, end)
 		if err != nil {
 			// A run vanished mid-load (compaction swapped it out and
 			// reclamation got there first): the generation moved, take a
@@ -43,13 +132,7 @@ func (t *Tree) Scan(start, end string, limit int) ([]Entry, bool, error) {
 			vsync.Yield()
 			continue
 		}
-		out, more := collectRange(view, start, end, limit)
-		t.met.scanEntries.Add(uint64(len(out)))
-		t.met.scanLat.Observe(t.obs.Now() - opStart)
-		if t.obs.Tracing() {
-			t.obs.Record("lsm", "scan", start, "ok", t.obs.Now()-opStart)
-		}
-		return out, more, nil
+		return srcs, nil
 	}
 	// The optimistic loop kept losing to concurrent run-list churn: take the
 	// mutator locks (flushMu before compactMu, the tree's lock order) so the
@@ -59,33 +142,23 @@ func (t *Tree) Scan(start, end string, limit int) ([]Entry, bool, error) {
 	t.compactMu.Lock()
 	defer t.compactMu.Unlock()
 	t.cov.Hit("lsm.scan.stable_fallback")
-	view, _, _, err := t.scanView()
-	if err != nil {
-		return nil, false, err
-	}
-	out, more := collectRange(view, start, end, limit)
-	t.met.scanEntries.Add(uint64(len(out)))
-	t.met.scanLat.Observe(t.obs.Now() - opStart)
-	return out, more, nil
+	srcs, _, _, err := t.scanSources(start, end)
+	return srcs, err
 }
 
-// scanView snapshots the tree and loads one merged newest-wins view
-// (tombstones retained). It returns the manifest generation the snapshot was
-// taken under; the caller decides whether a generation drift voids the view.
-// torn reports that the seeded FaultScanTornLevelSwap composed the view from
-// mixed generations, in which case the generation re-check must be skipped —
-// that skip is exactly the seeded defect.
-func (t *Tree) scanView() ([]Entry, uint64, bool, error) {
+// scanSources snapshots the tree and loads its merge sources, newest first:
+// memtable, flushing generation (both cut to [start, end)), then every run.
+// It returns the manifest generation the snapshot was taken under; the caller
+// decides whether a generation drift voids the view. torn reports that the
+// seeded FaultScanTornLevelSwap composed the view from mixed generations, in
+// which case the generation re-check must be skipped — that skip is exactly
+// the seeded defect.
+func (t *Tree) scanSources(start, end string) ([][]Entry, uint64, bool, error) {
 	t.mu.Lock()
 	gen := t.manifestGen
 	runs := append([]runRef(nil), t.runs...)
-	overlay := make(map[string]memEntry, len(t.mem)+len(t.flushing))
-	for k, e := range t.flushing {
-		overlay[k] = e
-	}
-	for k, e := range t.mem {
-		overlay[k] = e
-	}
+	mem := memSource(t.mem, start, end)
+	flushing := memSource(t.flushing, start, end)
 	torn := t.bugs.Enabled(faults.FaultScanTornLevelSwap) && t.staleRuns != nil
 	if torn {
 		// Seeded fault: the deep levels come from the pre-swap run list while
@@ -108,14 +181,8 @@ func (t *Tree) scanView() ([]Entry, uint64, bool, error) {
 	}
 	t.mu.Unlock()
 
-	// The overlay is the newest data; mergeRuns is newest-first, so it leads.
-	memRun := make([]Entry, 0, len(overlay))
-	for k, e := range overlay {
-		memRun = append(memRun, Entry{Key: k, Value: e.value, Tombstone: e.tombstone})
-	}
-	sort.Slice(memRun, func(i, j int) bool { return memRun[i].Key < memRun[j].Key })
-	loaded := make([][]Entry, 0, len(runs)+1)
-	loaded = append(loaded, memRun)
+	srcs := make([][]Entry, 0, len(runs)+2)
+	srcs = append(srcs, mem, flushing)
 	for _, r := range runs {
 		entries, err := t.loadRun(r)
 		if err != nil {
@@ -126,30 +193,20 @@ func (t *Tree) scanView() ([]Entry, uint64, bool, error) {
 			}
 			return nil, gen, false, err
 		}
-		loaded = append(loaded, entries)
+		srcs = append(srcs, entries)
 	}
-	return mergeRuns(loaded, false), gen, torn, nil
+	return srcs, gen, torn, nil
 }
 
-// collectRange filters a merged view down to the live entries of
-// [start, end), applying the limit. Values are copied: run-cache and
-// memtable slices must not escape to callers.
-func collectRange(view []Entry, start, end string, limit int) ([]Entry, bool) {
-	out := make([]Entry, 0)
-	for _, e := range view {
-		if e.Key < start {
-			continue
+// memSource returns the entries of one memtable generation that fall in
+// [start, end), sorted by key; values alias the memtable's.
+func memSource(m map[string]memEntry, start, end string) []Entry {
+	var out []Entry
+	for k, e := range m {
+		if k >= start && (end == "" || k < end) {
+			out = append(out, Entry{Key: k, Value: e.value, Tombstone: e.tombstone})
 		}
-		if end != "" && e.Key >= end {
-			break
-		}
-		if e.Tombstone {
-			continue
-		}
-		if limit > 0 && len(out) >= limit {
-			return out, true
-		}
-		out = append(out, Entry{Key: e.Key, Value: append([]byte(nil), e.Value...)})
 	}
-	return out, false
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out
 }

@@ -188,6 +188,84 @@ func TestScanCursorWalk(t *testing.T) {
 	}
 }
 
+// leveledTree builds a tree of n keys in a fixed run shape — half the keys at
+// L2, a quarter at L1, an eighth in each of two L0 runs — with every run
+// spanning the whole key range.
+func leveledTree(t *testing.T, n int) *lsm.Tree {
+	t.Helper()
+	tree, _ := newScanTree(t, faults.NewSet())
+	flushPart := func(pick func(i int) bool) {
+		for i := 0; i < n; i++ {
+			if pick(i) {
+				if _, err := tree.Put(fmt.Sprintf("k%06d", i), []byte{byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if _, err := tree.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	promote := func(out int) {
+		if res, err := tree.ApplyPlan(compact.Plan{Inputs: levelSeqs(tree, out-1), OutLevel: out}); err != nil || !res.Applied {
+			t.Fatalf("promote to L%d: %+v %v", out, res, err)
+		}
+	}
+	flushPart(func(i int) bool { return i%2 == 0 })
+	promote(1)
+	promote(2)
+	flushPart(func(i int) bool { return i%4 == 1 })
+	promote(1)
+	flushPart(func(i int) bool { return i%8 == 3 })
+	flushPart(func(i int) bool { return i%8 == 7 })
+	if got := len(tree.LevelInfo()); got != 4 {
+		t.Fatalf("run shape: %d runs, want 4", got)
+	}
+	return tree
+}
+
+// TestScanPageCostIndependentOfTreeSize pins what a page is meant to cost: a
+// seek per run plus the entries returned, so a limit-1 page on a 16k-key tree
+// allocates no more than on a 1k-key tree of the same run shape. Skipped while
+// Scan still merges the whole snapshot (mergeRuns in scan.go); it passes once
+// scanRange drains mergeIter instead (10 allocations at either size).
+func TestScanPageCostIndependentOfTreeSize(t *testing.T) {
+	t.Skip("Scan merges the whole snapshot per page until scanRange moves to mergeIter (CHANGES.md, PR 13)")
+	pageAllocs := func(tree *lsm.Tree, start string) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if page, more, err := tree.Scan(start, "", 1); err != nil || len(page) != 1 || !more {
+				t.Fatalf("Scan(%q, \"\", 1): %d entries, more=%v, err=%v", start, len(page), more, err)
+			}
+		})
+	}
+	small, big := leveledTree(t, 1<<10), leveledTree(t, 1<<14)
+	allocSmall, allocBig := pageAllocs(small, "k000512"), pageAllocs(big, "k008192")
+	// The slack absorbs the race detector's own allocations, which wobble by
+	// one; a page that still merged the tree costs over a hundred more.
+	if allocBig > allocSmall+2 {
+		t.Fatalf("limit-1 page allocations grow with the tree: %v at 1k keys, %v at 16k", allocSmall, allocBig)
+	}
+}
+
+// TestScanLimitsArePrefixes: pages of growing limit from one cursor on a
+// multi-level tree are prefixes of one another.
+func TestScanLimitsArePrefixes(t *testing.T) {
+	tree := leveledTree(t, 1<<10)
+	var prev []lsm.Entry
+	for _, limit := range []int{1, 16, 256} {
+		page, more, err := tree.Scan("k000512", "", limit)
+		if err != nil || len(page) != limit || !more {
+			t.Fatalf("limit %d: %d entries, more=%v, err=%v", limit, len(page), more, err)
+		}
+		for i, e := range prev {
+			if page[i].Key != e.Key || !bytes.Equal(page[i].Value, e.Value) {
+				t.Fatalf("limit %d entry %d: %q=%x, shorter page had %q=%x", limit, i, page[i].Key, page[i].Value, e.Key, e.Value)
+			}
+		}
+		prev = page
+	}
+}
+
 // TestScanTornLevelSwapFault pins the seeded defect's observable effect: with
 // the fault armed, a scan issued after a level swap composes its deep levels
 // from the pre-swap run list, so a key whose newest version moved across the

@@ -104,10 +104,6 @@ func newTreeMetrics(o *obs.Obs) treeMetrics {
 	}
 }
 
-// TestHookWindow, when non-nil, observes the bug #14 window opening and
-// closing around the given run locator (diagnostics).
-var TestHookWindow func(loc chunk.Locator, open bool)
-
 // DefaultMaxRuns bounds the run list so metadata records stay small.
 const DefaultMaxRuns = 6
 
@@ -336,42 +332,6 @@ func (t *Tree) Get(key string) ([]byte, error) {
 	return nil, ErrNotFound
 }
 
-// Keys implements Index.
-func (t *Tree) Keys() ([]string, error) {
-	t.mu.Lock()
-	runs := append([]runRef(nil), t.runs...)
-	mem := make(map[string]memEntry, len(t.mem)+len(t.flushing))
-	for k, v := range t.flushing {
-		mem[k] = v
-	}
-	for k, v := range t.mem {
-		mem[k] = v
-	}
-	t.mu.Unlock()
-
-	state := make(map[string]bool) // key -> live
-	for i := len(runs) - 1; i >= 0; i-- {
-		entries, err := t.loadRun(runs[i])
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range entries {
-			state[e.Key] = !e.Tombstone
-		}
-	}
-	for k, e := range mem {
-		state[k] = !e.tombstone
-	}
-	var keys []string
-	for k, live := range state {
-		if live {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys, nil
-}
-
 // runKeyFor names the chunk holding run seq; chunk frames carry this key,
 // which is what lets a reader detect that a locator went stale.
 func runKeyFor(seq uint64) string { return fmt.Sprintf("run-%016x", seq) }
@@ -588,102 +548,6 @@ func (t *Tree) Shutdown() (*dep.Dependency, error) {
 		skipMeta = true
 	}
 	return t.flush(skipMeta)
-}
-
-// Compact implements Index: it merges every on-disk run into one, dropping
-// tombstones, and publishes the new manifest generation. The new run's extent
-// stays pinned (the release closure) until the manifest references it; the
-// paper's bug #14 released the pin before the metadata update, letting a
-// concurrent reclamation drop the brand-new run chunk. Leveled compaction
-// (ApplyPlan) does incremental per-level merges instead; this full merge
-// remains the control-plane CompactIndex operation.
-func (t *Tree) Compact() error {
-	t.compactMu.Lock()
-	defer t.compactMu.Unlock()
-	return t.compactLocked()
-}
-
-// compactLocked requires t.compactMu held.
-func (t *Tree) compactLocked() error {
-	start := t.obs.Now()
-	t.mu.Lock()
-	runs := append([]runRef(nil), t.runs...)
-	t.mu.Unlock()
-	if len(runs) == 0 {
-		return nil
-	}
-	var loaded [][]Entry
-	for _, r := range runs {
-		entries, err := t.loadRun(r)
-		if err != nil {
-			return err
-		}
-		loaded = append(loaded, entries)
-	}
-	merged := mergeRuns(loaded, true)
-	// The full merge subsumes every input, so the output belongs at the
-	// deepest level any input occupied (at least 1: it is merged, not raw
-	// flush output).
-	outLevel := 1
-	for _, r := range runs {
-		if r.level > outLevel {
-			outLevel = r.level
-		}
-	}
-
-	t.mu.Lock()
-	seq := t.runSeq
-	t.runSeq++
-	t.mu.Unlock()
-
-	payload := encodeRun(merged)
-	runKey := runKeyFor(seq)
-	loc, cdep, release, err := t.cs.Put(chunk.TagIndexRun, runKey, payload)
-	if err != nil {
-		return err
-	}
-
-	if t.bugs.Enabled(faults.Bug14CompactionReclaimRace) {
-		// Seeded bug #14 (§6's worked example): compaction unpinned the
-		// extent holding the new run chunk before updating the metadata to
-		// point at it. A reclamation scheduled in that window finds the
-		// chunk unreferenced, drops it, and resets the extent — and the
-		// metadata update then installs a dangling pointer, losing the
-		// index entries the run contained.
-		release()
-		t.cov.Hit("lsm.bug14.early_unpin")
-		t.cov.Hit("lsm.bug14.window@" + loc.String())
-		if TestHookWindow != nil {
-			TestHookWindow(loc, true)
-		}
-		vsync.Yield()
-	} else {
-		defer release()
-	}
-
-	if TestHookWindow != nil && t.bugs.Enabled(faults.Bug14CompactionReclaimRace) {
-		TestHookWindow(loc, false)
-	}
-	t.mu.Lock()
-	// Replace exactly the runs we merged; runs flushed concurrently (they
-	// are prepended) stay.
-	keep := t.runs[:len(t.runs)-len(runs)]
-	t.runs = append(append([]runRef(nil), keep...), runRef{seq: seq, loc: loc, level: outLevel})
-	t.runCache[loc] = merged
-	t.pruneRunCacheLocked()
-	t.updateRunMetricsLocked()
-	_, werr := t.stageManifestLocked(cdep)
-	t.mu.Unlock()
-	if werr != nil {
-		return werr
-	}
-	t.cov.Hit("lsm.compact")
-	t.met.compactions.Inc()
-	t.met.compactDur.Observe(t.obs.Now() - start)
-	if t.obs.Tracing() {
-		t.obs.Record("lsm", "compact", runKey, "ok", t.obs.Now()-start)
-	}
-	return nil
 }
 
 // pruneRunCacheLocked drops cache entries for runs no manifest names;

@@ -14,6 +14,7 @@ import (
 	"shardstore/internal/compact"
 	"shardstore/internal/dep"
 	"shardstore/internal/faults"
+	"shardstore/internal/vsync"
 )
 
 // LevelInfo implements compact.Host's view: the current manifest
@@ -38,24 +39,37 @@ func (t *Tree) ApplyPlan(p compact.Plan) (compact.Result, error) {
 	return t.applyPlanLocked(p)
 }
 
+// Compact implements Index, the control-plane CompactIndex operation: one
+// plan over every current run, landing at the deepest occupied level (at
+// least 1: the output is merged, not raw flush output).
+func (t *Tree) Compact() error { return t.compactThrough(MaxLevels) }
+
 // compactL0 pushes the entire L0 block (plus the resident L1 run, if any)
 // into L1 — the flush path's bounded auto-compaction. Requires flushMu held
 // by the caller; takes compactMu (that lock order, never the reverse).
-func (t *Tree) compactL0() error {
+func (t *Tree) compactL0() error { return t.compactThrough(1) }
+
+// compactThrough merges every run at levels 0..maxLevel into the deepest of
+// those levels that is occupied.
+func (t *Tree) compactThrough(maxLevel int) error {
 	t.compactMu.Lock()
 	defer t.compactMu.Unlock()
 	t.mu.Lock()
-	var inputs []uint64
+	p := compact.Plan{OutLevel: 1}
 	for _, r := range t.runs {
-		if r.level <= 1 {
-			inputs = append(inputs, r.seq)
+		if r.level > maxLevel {
+			continue
+		}
+		p.Inputs = append(p.Inputs, r.seq)
+		if r.level > p.OutLevel {
+			p.OutLevel = r.level
 		}
 	}
 	t.mu.Unlock()
-	if len(inputs) == 0 {
+	if len(p.Inputs) == 0 {
 		return nil
 	}
-	_, err := t.applyPlanLocked(compact.Plan{Inputs: inputs, OutLevel: 1})
+	_, err := t.applyPlanLocked(p)
 	return err
 }
 
@@ -109,24 +123,24 @@ func (t *Tree) applyPlanLocked(p compact.Plan) (compact.Result, error) {
 			break
 		}
 	}
-	merged := mergeRuns(loaded, false)
+	var merged []Entry
 	dropped := 0
-	if dropTomb {
-		kept := merged[:0]
-		for _, e := range merged {
-			if e.Tombstone {
-				dropped++
-			} else {
-				kept = append(kept, e)
-			}
+	for it := newMergeIter(loaded, ""); ; {
+		e, ok := it.next()
+		if !ok {
+			break
 		}
-		merged = kept
+		if e.Tombstone && dropTomb {
+			dropped++
+			continue
+		}
+		merged = append(merged, e)
 	}
 
 	// Write the output chunk, pinned (the deferred release) until the new
-	// manifest generation names it — the bug #14 lesson. A merge that
-	// cancels to nothing (all inputs were tombstones over each other)
-	// publishes pure removal: no output run at all.
+	// manifest generation names it. A merge that cancels to nothing (all
+	// inputs were tombstones over each other) publishes pure removal: no
+	// output run at all.
 	var (
 		out     runRef
 		cdep    *dep.Dependency
@@ -145,7 +159,19 @@ func (t *Tree) applyPlanLocked(p compact.Plan) (compact.Result, error) {
 		if err != nil {
 			return compact.Result{}, err
 		}
-		defer release()
+		if t.bugs.Enabled(faults.Bug14CompactionReclaimRace) {
+			// Seeded bug #14 (§6's worked example): compaction unpinned the
+			// extent holding the new run chunk before updating the metadata to
+			// point at it. A reclamation scheduled in that window finds the
+			// chunk unreferenced, drops it, and resets the extent — and the
+			// metadata update then installs a dangling pointer, losing the
+			// index entries the run contained.
+			release()
+			t.cov.Hit("lsm.bug14.early_unpin")
+			vsync.Yield()
+		} else {
+			defer release()
+		}
 	} else {
 		t.cov.Hit("lsm.compact.empty_output")
 	}

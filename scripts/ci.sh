@@ -41,6 +41,9 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
+echo "== go test -C bench ./... (the benchmark's own oracles: BENCHMARK.json <-> program, determinism under one seed)"
+go test -C bench ./...
+
 echo "== go test -race (core, coverage, vsync, scrub)"
 go test -race -timeout 600s ./internal/core/... ./internal/coverage/... ./internal/vsync/... ./internal/scrub/...
 
@@ -71,8 +74,8 @@ go test -race -timeout 300s -run 'TestCompactionForegroundRaceHammer' -count=1 .
 echo "== committed benchmark snapshots (BENCH_PR6.json / BENCH_PR7.json parse and are current)"
 go test -run 'TestBenchSnapshotCurrent|TestReadBenchSnapshotCurrent' -count=1 .
 
-echo "== scan conformance gate (ordered-map lockstep, detection + honesty, RPC cursor walk)"
-go test -run 'TestScanLockstepRandomOps|TestScanCursorWalk|TestScanTornLevelSwapFault|TestScanFaultPathDeadWhenDisarmed' -count=1 ./internal/lsm/
+echo "== scan conformance gate (ordered-map lockstep, page prefixes, detection + honesty, RPC cursor walk)"
+go test -run 'TestScanLockstepRandomOps|TestScanCursorWalk|TestScanLimitsArePrefixes|TestScanPageCostIndependentOfTreeSize|TestScanTornLevelSwapFault|TestScanFaultPathDeadWhenDisarmed' -count=1 ./internal/lsm/
 go test -run 'TestScanConformanceSmoke|TestScanTornLevelSwapDetected|TestScanVerdictHonesty' -count=1 ./internal/core/
 go test -run 'TestScanOverRPC|TestScanContinuationToken|TestScanIteratorRefetch|TestScanUnsupportedBackend|TestCapabilityOpcodeMatrix' -count=1 ./internal/rpc/
 

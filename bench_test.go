@@ -225,21 +225,53 @@ func BenchmarkIndexConformance(b *testing.B) {
 	b.ReportMetric(float64(res.Ops)/float64(b.N), "ops/seq")
 }
 
-// BenchmarkStoreConformance: full-stack conformance sequences per second
-// (crashes + reboots + fault injection enabled), on one worker so the
-// per-sequence cost stays comparable across machines. The scaling story is
-// BenchmarkConformanceParallel.
-func BenchmarkStoreConformance(b *testing.B) {
-	cfg := core.Config{
-		Seed: 13, Cases: b.N, OpsPerCase: 40, Bias: core.DefaultBias(),
+// storeConformanceConfig is the clean full-stack conformance workload
+// (crashes + reboots + fault injection enabled) the benchmarks and the
+// case-cost budget share.
+func storeConformanceConfig(cases, workers int) core.Config {
+	return core.Config{
+		Seed: 13, Cases: cases, OpsPerCase: 40, Bias: core.DefaultBias(),
 		EnableCrashes: true, EnableReboots: true, EnableFailures: true,
-		Workers: 1,
+		Workers: workers,
 	}
-	res := core.Run(cfg)
+}
+
+// BenchmarkStoreConformance: full-stack conformance sequences per second,
+// on one worker so the per-sequence cost stays comparable across machines.
+// The scaling story is BenchmarkConformanceParallel.
+func BenchmarkStoreConformance(b *testing.B) {
+	b.ReportAllocs()
+	res := core.Run(storeConformanceConfig(b.N, 1))
 	if res.Failure != nil {
 		b.Fatalf("clean run failed: %v", res.Failure.Err)
 	}
 	b.ReportMetric(float64(res.Crashes)/float64(b.N), "crashes/seq")
+}
+
+// TestConformanceCaseCostBudget keeps a conformance case cheap enough to run
+// on every change: 200 cases of BenchmarkStoreConformance's configuration
+// may allocate at most 400 KB each. A case measures about 330 KB; building
+// a generator per op to re-seed it, instead of re-seeding one in place, adds
+// 5 KB an op and lands far past the budget. Allocation counts repeat exactly
+// on one worker, so this is a budget, not a timing gate.
+func TestConformanceCaseCostBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budget skipped under -race, like the other cost gates")
+	}
+	const cases, budgetKB = 200, 400
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := core.Run(storeConformanceConfig(cases, 1))
+	runtime.ReadMemStats(&after)
+	if res.Failure != nil {
+		t.Fatalf("clean run failed: %v", res.Failure.Err)
+	}
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / cases
+	allocs := float64(after.Mallocs-before.Mallocs) / cases
+	t.Logf("%.0f KB and %.0f allocs per case over %d cases", kb, allocs, cases)
+	if kb > budgetKB {
+		t.Fatalf("a conformance case allocates %.0f KB, budget %d KB", kb, budgetKB)
+	}
 }
 
 // BenchmarkConformanceParallel: the worker-pool scaling curve — the same
@@ -253,12 +285,8 @@ func BenchmarkConformanceParallel(b *testing.B) {
 	}
 	for _, workers := range widths {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := core.Config{
-				Seed: 13, Cases: b.N, OpsPerCase: 40, Bias: core.DefaultBias(),
-				EnableCrashes: true, EnableReboots: true, EnableFailures: true,
-				Workers: workers,
-			}
-			res := core.Run(cfg)
+			b.ReportAllocs()
+			res := core.Run(storeConformanceConfig(b.N, workers))
 			if res.Failure != nil {
 				b.Fatalf("clean run failed: %v", res.Failure.Err)
 			}

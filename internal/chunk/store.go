@@ -18,6 +18,7 @@ import (
 	"shardstore/internal/extent"
 	"shardstore/internal/faults"
 	"shardstore/internal/obs"
+	"shardstore/internal/prop"
 	"shardstore/internal/vsync"
 )
 
@@ -150,7 +151,12 @@ type Store struct {
 	met  chunkMetrics
 
 	cache *buffercache.Cache
-	rng   *rand.Rand
+	// seed is the last seed NewStore or Reseed recorded; newUUID's first draw
+	// afterwards brings rng to it (seeded is false until then), so an op that
+	// puts no chunk pays nothing for its re-seed.
+	seed   int64
+	seeded bool
+	rng    *rand.Rand
 
 	// active is the extent new chunks are appended to; none when negative.
 	active int
@@ -182,7 +188,7 @@ func NewStore(em *extent.Manager, cfg Config, seed int64, cov *coverage.Registry
 		obs:         o,
 		met:         newChunkMetrics(o),
 		cache:       buffercache.New(cfg.CacheCapacity, cov, o),
-		rng:         rand.New(rand.NewSource(seed)),
+		seed:        seed,
 		active:      -1,
 		pins:        make(map[disk.ExtentID]int),
 		reclaiming:  make(map[disk.ExtentID]bool),
@@ -201,11 +207,13 @@ func (s *Store) RegisterResolver(tag Tag, r Resolver) {
 
 // Reseed re-seeds the store's internal RNG. Harnesses call this before every
 // operation with an op-specific tag so that minimized op sequences replay
-// with identical internal randomness (§4.3 determinism).
+// with identical internal randomness (§4.3 determinism). The seed is only
+// recorded here; newUUID's next draw applies it (prop.Reseed), and draws what
+// a newly constructed generator with that seed would.
 func (s *Store) Reseed(seed int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.rng = rand.New(rand.NewSource(seed))
+	s.seed, s.seeded = seed, false
 }
 
 // Stats returns a snapshot of the counters (reading the obs registry).
@@ -237,10 +245,12 @@ func (s *Store) newUUID() UUID {
 	}
 	// The rng is shared mutable state: put() calls newUUID before taking the
 	// store lock, and concurrent puts to the same disk (the rpc server's
-	// pipelined dispatch) would otherwise race on it — as would Reseed's
-	// pointer swap.
+	// pipelined dispatch) would otherwise race on it — as would Reseed.
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if !s.seeded {
+		s.rng, s.seeded = prop.Reseed(s.rng, s.seed), true
+	}
 	var u UUID
 	if s.cfg.UUIDZeroBias > 0 && s.rng.Float64() < s.cfg.UUIDZeroBias {
 		return u

@@ -179,8 +179,7 @@ func Run(cfg Config) Result {
 		if ccfg.StoreConfig.Disk.Coverage == shared {
 			ccfg.StoreConfig.Disk.Coverage = ccfg.StoreConfig.Coverage
 		}
-		r := rand.New(rand.NewSource(prop.CaseSeed(cfg.Seed, i)))
-		seq := GenerateSeq(r, ccfg)
+		seq := GenerateSeq(prop.Reseed(nil, prop.CaseSeed(cfg.Seed, i)), ccfg)
 		ops, crashes, err := RunSeqCtx(ctx, seq, ccfg)
 		return caseOutcome{ops: ops, crashes: crashes, cov: ccfg.StoreConfig.Coverage, err: err}
 	})
@@ -198,7 +197,7 @@ func Run(cfg Config) Result {
 		// outcome; regenerate its sequence from the root seed and minimize it
 		// sequentially, exactly as the sequential loop did.
 		seed := prop.CaseSeed(cfg.Seed, i)
-		seq := GenerateSeq(rand.New(rand.NewSource(seed)), cfg)
+		seq := GenerateSeq(prop.Reseed(nil, seed), cfg)
 		f := &Failure{Case: i, Seed: seed, Seq: seq, Minimized: seq, Err: out.err, MinimizedErr: out.err}
 		if cfg.Minimize {
 			fails := func(cand []Op) bool {
@@ -239,6 +238,15 @@ type execState struct {
 	// from consumedBase, its value when this sequence started.
 	injected     uint64
 	consumedBase uint64
+	// rng is the sequence's one crash and rot generator; see crashRand.
+	rng *rand.Rand
+}
+
+// crashRand returns the generator a dirty reboot or a rot op draws from,
+// seeded as a newly constructed one would be (prop.Reseed).
+func (es *execState) crashRand(seed int64) *rand.Rand {
+	es.rng = prop.Reseed(es.rng, seed)
+	return es.rng
 }
 
 // kv exposes the node under test through the same narrow store.KV interface
@@ -806,8 +814,7 @@ func (es *execState) dirtyReboot(op Op) error {
 	if es.cfg.ExhaustiveCrash {
 		return es.exhaustiveCrash(op)
 	}
-	rng := rand.New(rand.NewSource(op.CrashSeed))
-	es.st.Crash(rng)
+	es.st.Crash(es.crashRand(op.CrashSeed))
 	ns, err := es.reopen()
 	if err != nil {
 		return fmt.Errorf("recovery: %w", err)

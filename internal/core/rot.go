@@ -29,7 +29,6 @@ func (es *execState) applyRot(op Op) error {
 		return nil
 	}
 	group := groups[op.Extent%len(groups)]
-	rng := rand.New(rand.NewSource(op.CrashSeed))
 	switch op.Kind {
 	case OpRotReplica:
 		var good []int
@@ -41,9 +40,10 @@ func (es *execState) applyRot(op Op) error {
 		if len(good) < 2 {
 			return nil // would push k to R; keep the property k < R
 		}
-		es.rotLocator(group[good[0]], rng)
+		es.rotLocator(group[good[0]], es.crashRand(op.CrashSeed))
 	case OpRotAll:
 		rotted := false
+		rng := es.crashRand(op.CrashSeed)
 		for _, loc := range group {
 			if es.rotLocator(loc, rng) {
 				rotted = true

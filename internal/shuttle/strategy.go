@@ -2,6 +2,8 @@ package shuttle
 
 import (
 	"math/rand"
+
+	"shardstore/internal/prop"
 )
 
 // Strategy decides which runnable thread runs at each scheduling point.
@@ -28,7 +30,7 @@ func NewRandom(seed int64) *Random { return &Random{Seed: seed} }
 
 // BeginIteration implements Strategy.
 func (r *Random) BeginIteration(iteration int) bool {
-	r.rng = rand.New(rand.NewSource(r.Seed + int64(iteration)*0x9E3779B9))
+	r.rng = prop.Reseed(r.rng, r.Seed+int64(iteration)*0x9E3779B9)
 	return true
 }
 
@@ -68,7 +70,7 @@ func NewPCT(seed int64, depth, maxSteps int) *PCT {
 
 // BeginIteration implements Strategy.
 func (p *PCT) BeginIteration(iteration int) bool {
-	p.rng = rand.New(rand.NewSource(p.Seed + int64(iteration)*0x9E3779B9))
+	p.rng = prop.Reseed(p.rng, p.Seed+int64(iteration)*0x9E3779B9)
 	p.changePoints = make(map[int]bool)
 	for i := 0; i < p.Depth-1; i++ {
 		p.changePoints[p.rng.Intn(maxI(p.MaxSteps, 1))] = true

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"shardstore/internal/chunk"
+	"shardstore/internal/disk"
 	"shardstore/internal/faults"
 )
 
@@ -245,26 +247,38 @@ func TestValuesSpanningManyChunksSurviveCrashCycle(t *testing.T) {
 }
 
 func TestReseedMakesStoresIdentical(t *testing.T) {
-	run := func() []string {
+	run := func(seed int64) ([]string, *disk.Disk) {
 		cfg := testConfig(29)
-		s, _ := mustOpen(t, cfg)
-		s.Reseed(555)
-		var out []string
+		s, d := mustOpen(t, cfg)
+		s.Reseed(seed)
 		for i := 0; i < 5; i++ {
 			_, _ = s.Put(fmt.Sprintf("k%d", i), bytes.Repeat([]byte{byte(i)}, 100))
 		}
+		if err := s.Pump(); err != nil {
+			t.Fatal(err)
+		}
 		keys, _ := s.Keys()
-		out = append(out, keys...)
-		return out
+		return keys, d
 	}
-	a, b := run(), run()
-	if len(a) != len(b) {
+	a, da := run(555)
+	b, db := run(555)
+	if !reflect.DeepEqual(a, b) {
 		t.Fatal("diverged")
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("diverged")
-		}
+	// The seed reaches the bytes on disk (chunk UUIDs), so equal seeds give
+	// equal images and a different seed a different one.
+	if !disk.DurableEqual(da, db) {
+		t.Fatal("durable images differ after identical reseeds")
+	}
+	if _, dc := run(556); disk.DurableEqual(da, dc) {
+		t.Fatal("a different seed left the same durable image: Reseed does not reach the chunk UUIDs")
+	}
+
+	// Recording the seed is all Reseed does.
+	s, _ := mustOpen(t, testConfig(29))
+	seed := int64(0)
+	if n := testing.AllocsPerRun(100, func() { seed++; s.Reseed(seed) }); n != 0 {
+		t.Fatalf("Reseed allocates %v objects per call, want 0", n)
 	}
 }
 

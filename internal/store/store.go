@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"shardstore/internal/chunk"
@@ -170,7 +169,6 @@ type Store struct {
 	catalog []string
 
 	inService bool
-	rng       *rand.Rand
 }
 
 // Open creates or recovers a storage node on d. A zero-filled disk is
@@ -211,7 +209,6 @@ func Open(d *disk.Disk, cfg Config) (*Store, error) {
 		cs:        cs,
 		idx:       idx,
 		inService: true,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
 	}
 	cs.RegisterResolver(chunk.TagIndexRun, lsm.RunResolver{Tree: idx})
 	cs.RegisterResolver(chunk.TagData, dataResolver{s: s})
@@ -269,9 +266,6 @@ func (s *Store) Index() *lsm.Tree { return s.idx }
 // Reseed re-seeds internal randomness (chunk UUIDs etc.) so harness op
 // sequences replay deterministically after minimization (§4.3).
 func (s *Store) Reseed(seed int64) {
-	s.mu.Lock()
-	s.rng = rand.New(rand.NewSource(seed))
-	s.mu.Unlock()
 	s.cs.Reseed(seed)
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate for the repo: vet, build, full test suite, then the race detector
 # over the packages with real concurrency (the worker-pool harness, the
-# coverage registry, and the pluggable sync layer).
+# coverage registry, and the pluggable sync layer). The full `go test ./...`
+# is about 80 s on a 2-vCPU runner, 74 s of it internal/core.
 #
 # The -race pass builds with the `race` tag, which makes the long
 # deterministic bug-hunt suites skip themselves (see
@@ -61,6 +62,12 @@ go test -run 'TestObservabilityDeterminismGate' -count=1 ./internal/core/
 
 echo "== trace determinism gate (spans on/off: same verdicts, same disk bytes)"
 go test -run 'TestTraceDeterminismGate' -count=1 ./internal/core/
+
+echo "== validation-throughput gate (random streams pinned, golden harness fingerprint, <= 400 KB allocated per conformance case)"
+go test -run 'TestReseedDeterminism|TestReseedAllocatesNothing' -count=1 ./internal/chunk/
+go test -run 'TestReseedMakesStoresIdentical' -count=1 ./internal/store/
+go test -run 'TestHarnessFingerprint' -count=1 ./internal/core/
+go test -run 'TestConformanceCaseCostBudget' -count=1 -v . | grep -E 'per case|ok  |PASS|FAIL'
 
 echo "== group-commit throughput gate (>= 3x puts/sec at 8 writers; skipped under -race by design)"
 go test -timeout 300s -run 'TestGroupCommitThroughputGate' -count=1 -v . | grep -E 'puts/sec|ok  |PASS|FAIL'

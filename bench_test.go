@@ -256,7 +256,7 @@ func BenchmarkStoreConformance(b *testing.B) {
 // on one worker, so this is a budget, not a timing gate.
 func TestConformanceCaseCostBudget(t *testing.T) {
 	if raceEnabled {
-		t.Skip("allocation budget skipped under -race, like the other cost gates")
+		t.Skip("allocation budget skipped under -race: the detector allocates too")
 	}
 	const cases, budgetKB = 200, 400
 	var before, after runtime.MemStats

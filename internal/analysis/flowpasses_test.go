@@ -151,8 +151,8 @@ func leakInTestFile(mu *vsync.Mutex) {
 // TestUnlockPathOutOfScope: the identical leak outside the durable-path
 // package set reports nothing.
 func TestUnlockPathOutOfScope(t *testing.T) {
-	runFixture(t, analysis.UnlockPath, "shardstore/internal/benchfmt", map[string]string{
-		"fix.go": `package benchfmt
+	runFixture(t, analysis.UnlockPath, "shardstore/internal/experiments", map[string]string{
+		"fix.go": `package experiments
 
 import "shardstore/internal/vsync"
 
@@ -275,8 +275,8 @@ func waivedSend(l *left, ch chan int) {
 // TestLockOrderOutOfScope: blocking under a lock outside the scoped package
 // set reports nothing.
 func TestLockOrderOutOfScope(t *testing.T) {
-	runFixture(t, analysis.LockOrder, "shardstore/internal/benchfmt", map[string]string{
-		"fix.go": `package benchfmt
+	runFixture(t, analysis.LockOrder, "shardstore/internal/experiments", map[string]string{
+		"fix.go": `package experiments
 
 import "shardstore/internal/vsync"
 
@@ -384,8 +384,8 @@ func dispatchInner(op Opcode) int {
 // TestObsCompleteOutOfScope: an opcode-shaped package anywhere but
 // internal/rpc is not this pass's business.
 func TestObsCompleteOutOfScope(t *testing.T) {
-	runFixture(t, analysis.ObsComplete, "shardstore/internal/benchfmt", map[string]string{
-		"fix.go": `package benchfmt
+	runFixture(t, analysis.ObsComplete, "shardstore/internal/experiments", map[string]string{
+		"fix.go": `package experiments
 
 type Opcode uint8
 

@@ -48,8 +48,8 @@ func TestParallelWaived(t *testing.T) {
 // TestSyncUsageOutOfScope checks the pass keys on the package path: the
 // identical source outside the instrumented set reports nothing.
 func TestSyncUsageOutOfScope(t *testing.T) {
-	runFixture(t, analysis.SyncUsage, "shardstore/internal/benchfmt", map[string]string{
-		"fix.go": `package benchfmt
+	runFixture(t, analysis.SyncUsage, "shardstore/internal/experiments", map[string]string{
+		"fix.go": `package experiments
 
 import "sync"
 

@@ -332,18 +332,9 @@ func (d *Disk) WriteAt(ext ExtentID, off int, data []byte) error {
 	return nil
 }
 
-// TestHookPreRead, if non-nil, runs at the start of every ReadAt before the
-// disk lock is taken. Benchmarks use it to model a device whose reads cost
-// real time, so probe-count reductions show up in wall-clock latency. It
-// must be set and cleared only while no ReadAt can be running.
-var TestHookPreRead func()
-
 // ReadAt reads len(buf) bytes from extent ext at offset off, observing the
 // volatile cache (reads see the latest write, synced or not).
 func (d *Disk) ReadAt(ext ExtentID, off int, buf []byte) error {
-	if TestHookPreRead != nil {
-		TestHookPreRead()
-	}
 	start := d.obs.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -12,11 +12,10 @@ import (
 	"shardstore/internal/store"
 )
 
-// Client is the v2 pipelined client. It is safe for concurrent use and —
-// unlike the lock-step ClientV1 — keeps many requests in flight on one
-// connection: each call is assigned a request id, frames are written
-// back-to-back, and a demux loop routes responses (which may arrive out of
-// order) to their callers.
+// Client is the v2 pipelined client. It is safe for concurrent use and
+// keeps many requests in flight on one connection: each call is assigned a
+// request id, frames are written back-to-back, and a demux loop routes
+// responses (which may arrive out of order) to their callers.
 //
 // Every call takes a context.Context: cancellation or a deadline abandons
 // that one request id (the demux loop discards the late response) and the
@@ -117,8 +116,7 @@ func (c *Client) writeLoop() {
 // takes a context.Context and there is no client-level timeout knob. A
 // timed-out or cancelled call abandons its request id (the demux loop
 // discards the late response), so the connection SURVIVES and other calls
-// proceed untouched. The legacy lock-step client keeps its documented
-// ClientV1.SetTimeout for v1 compatibility.
+// proceed untouched.
 
 // demux is the response loop: one reader per connection, routing frames to
 // pending calls by request id. Responses for abandoned ids (cancelled or

@@ -7,10 +7,9 @@ import (
 	"shardstore/internal/store"
 )
 
-// Code is a stable wire error code (u16 in the v2 status field, a string in
-// v1 JSON responses). Codes are the contract: clients match on the sentinel
-// errors below with errors.Is, never on message text. See doc.go for the
-// meaning of each code.
+// Code is a stable wire error code (u16 in the v2 status field). Codes are
+// the contract: clients match on the sentinel errors below with errors.Is,
+// never on message text. See doc.go for the meaning of each code.
 type Code uint16
 
 // The error-code taxonomy. Values are wire-stable: never renumber.
@@ -25,7 +24,7 @@ const (
 	CodeUnsupported   Code = 7
 )
 
-// String returns the v1-compatible snake_case name carried in JSON frames.
+// String returns the code's snake_case name (error text, doc.go's table).
 func (c Code) String() string {
 	switch c {
 	case CodeOK:
@@ -46,27 +45,6 @@ func (c Code) String() string {
 		return "unsupported"
 	default:
 		return fmt.Sprintf("code_%d", uint16(c))
-	}
-}
-
-// codeFromString maps a v1 JSON code name back to its Code (for the v1
-// client shim talking to a v2 server and vice versa).
-func codeFromString(s string) Code {
-	switch s {
-	case "not_found":
-		return CodeNotFound
-	case "out_of_service":
-		return CodeOutOfService
-	case "bad_request":
-		return CodeBadRequest
-	case "frame_too_large":
-		return CodeFrameTooLarge
-	case "shutdown":
-		return CodeShutdown
-	case "unsupported":
-		return CodeUnsupported
-	default:
-		return CodeInternal
 	}
 }
 

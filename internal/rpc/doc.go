@@ -113,13 +113,12 @@
 //	durability       flagDurable on put/mput (per-item code 7 on mput)
 //	scrubber, service control, flush, stats columns: control plane probes
 //
-
-// # v1 compatibility
+// # Connections that do not open with the preamble
 //
-// The legacy protocol (length-prefixed JSON frames, one lock-step
-// request/response pair at a time) is still served: the server sniffs the
-// first four bytes of each connection — a v1 frame starts with a 4-byte
-// length whose first byte is 0x00 or 0x01, which cannot collide with the
-// v2 preamble's 'S'. DialV1 provides the old client for compatibility
-// testing and as the benchmark baseline.
+// v2 is the only protocol the server speaks. A connection whose first four
+// bytes are not "S2P\x02" — the retired length-prefixed JSON protocol, a
+// stray client, garbage, or a peer that hangs up before sending four bytes
+// — is closed without a reply byte and without counting as a request or a
+// failure: no frame was parsed, so there is no request id to answer. The
+// peer reads EOF.
 package rpc

@@ -130,7 +130,7 @@ func TestPerCallCancellation(t *testing.T) {
 
 // TestTimeoutConnectionSurvives: a per-call context deadline is the only
 // timeout mechanism; a timed-out call abandons its request id and the SAME
-// client keeps working (the v1 "connection is broken after timeout" wart).
+// client keeps working.
 func TestTimeoutConnectionSurvives(t *testing.T) {
 	ctx := context.Background()
 	_, c, gates := newGatedServer(t, "stalled")
@@ -250,50 +250,6 @@ func TestMultiOps(t *testing.T) {
 		if i >= 6 && res[i].Err != nil {
 			t.Fatalf("surviving item %d: %v", i, res[i].Err)
 		}
-	}
-}
-
-// TestV1CompatShim: a legacy lock-step JSON client still talks to the v2
-// server — the connection sniff keeps old deployments working.
-func TestV1CompatShim(t *testing.T) {
-	srv, _ := newTestServer(t, 2)
-	addr := srv.ln.Addr().String()
-	c, err := DialV1(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Put("v1-shard", []byte("legacy")); err != nil {
-		t.Fatal(err)
-	}
-	v, err := c.Get("v1-shard")
-	if err != nil || !bytes.Equal(v, []byte("legacy")) {
-		t.Fatalf("v1 get: %q %v", v, err)
-	}
-	ids, err := c.List()
-	if err != nil || len(ids) != 1 {
-		t.Fatalf("v1 list: %v %v", ids, err)
-	}
-	if _, err := c.Get("never-stored"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("v1 typed error mapping: %v", err)
-	}
-	if err := c.Delete("v1-shard"); err != nil {
-		t.Fatal(err)
-	}
-
-	// v1 and v2 clients interleave on the same server.
-	ctx := context.Background()
-	c2, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if err := c2.Put(ctx, "v2-shard", []byte("pipelined")); err != nil {
-		t.Fatal(err)
-	}
-	v, err = c.Get("v2-shard")
-	if err != nil || !bytes.Equal(v, []byte("pipelined")) {
-		t.Fatalf("v1 reads v2 write: %q %v", v, err)
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 // ErrFrameTooLarge locally instead of hanging the connection).
 const MaxFrame = 16 << 20
 
-// Connection preamble: a v2 client's first four bytes. A v1 client's first
-// four bytes are a frame length <= MaxFrame (0x01000000), so its first byte
-// is 0x00 or 0x01 and can never collide with 'S'.
+// Connection preamble: a v2 client's first four bytes. The server closes a
+// connection that opens with anything else without replying (serveConn);
+// there is no other protocol version to fall back to.
 var preambleV2 = [4]byte{'S', '2', 'P', 0x02}
 
 // Opcode is a v2 wire operation. Values are wire-stable: never renumber.
@@ -46,7 +46,7 @@ const (
 	opMax = opScan
 )
 
-// opName maps opcodes to the v1 op strings (metric names, traces, errors).
+// opName maps opcodes to their names (metric names, traces, errors).
 func opName(op Opcode) string {
 	switch op {
 	case opPut:
@@ -109,8 +109,8 @@ const flagDurable uint8 = 0x01
 // flagTraced on a request asks the server to trace it end-to-end, using the
 // frame's request id as the trace id (no extra header bytes). A server with
 // tracing enabled echoes the flag on the response so the client learns the
-// negotiation outcome; v1 peers have no flags byte and older v2 peers ignore
-// reserved bits, so the flag is backward-compatible in both directions.
+// negotiation outcome; older v2 peers ignore reserved bits, so the flag is
+// backward-compatible in both directions.
 const flagTraced uint8 = 0x02
 
 // header is one decoded v2 frame header.

@@ -3,15 +3,18 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
+	"syscall"
 	"testing"
+	"time"
 )
 
 // TestFrameTooLargeOnWrite: MaxFrame is enforced on the WRITE side with the
-// typed error, in both protocol versions — an oversized frame never reaches
-// the wire, so the peer cannot be hung by it.
+// typed error — an oversized frame never reaches the wire, so the peer
+// cannot be hung by it.
 func TestFrameTooLargeOnWrite(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -32,13 +35,6 @@ func TestFrameTooLargeOnWrite(t *testing.T) {
 				t.Fatalf("payload %d: %v is not ErrFrameTooLarge", tc.payload, err)
 			}
 		})
-	}
-
-	// v1: the JSON+base64 codec can inflate a legal-looking value past
-	// MaxFrame; the writer must catch it (pre-v2 it only checked on read).
-	big := &Request{Op: OpPut, ShardID: "k", Value: make([]byte, 13<<20)}
-	if err := writeFrameV1(io.Discard, big); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("v1 oversized write: %v", err)
 	}
 }
 
@@ -77,8 +73,7 @@ func TestOversizedPutDoesNotPoisonConnection(t *testing.T) {
 }
 
 // TestErrorTaxonomy: every non-OK code surfaces as a *WireError matching
-// exactly its own sentinel via errors.Is, and the snake_case names round-trip
-// (the v1 JSON code field).
+// exactly its own sentinel via errors.Is.
 func TestErrorTaxonomy(t *testing.T) {
 	sentinels := map[Code]error{
 		CodeNotFound:      ErrNotFound,
@@ -98,9 +93,6 @@ func TestErrorTaxonomy(t *testing.T) {
 			if other != code && errors.Is(err, sentinel) {
 				t.Fatalf("%v also matches %v's sentinel", code, other)
 			}
-		}
-		if codeFromString(code.String()) != code {
-			t.Fatalf("code %v does not round-trip via %q", code, code.String())
 		}
 		var we *WireError
 		if !errors.As(err, &we) || we.Code != code {
@@ -155,5 +147,87 @@ func TestUnknownOpcodeOnWire(t *testing.T) {
 	r = wireReader{b: payload}
 	if code, _ := r.u16(); Code(code) != CodeOK {
 		t.Fatalf("follow-up put code = %d", code)
+	}
+}
+
+// TestNonV2PreambleDropped: v2 is the only protocol. A connection that opens
+// with anything but the preamble is closed with no reply byte, counts as
+// neither a request nor a failure, leaves no handler behind, and does not
+// disturb v2 clients of the same server.
+func TestNonV2PreambleDropped(t *testing.T) {
+	ctx := context.Background()
+	srv, c := newTestServer(t, 1)
+	addr := srv.ln.Addr().String()
+	roundTrip := func(key string) {
+		t.Helper()
+		if err := c.Put(ctx, key, []byte(key)); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := c.Get(ctx, key); err != nil || string(v) != key {
+			t.Fatalf("v2 get %s: %q %v", key, v, err)
+		}
+	}
+	roundTrip("before")
+	before := srv.Obs().Snapshot().Counters
+
+	oldJSON := []byte(`{"op":"get","shard_id":"k"}`)
+	openers := []struct {
+		name string
+		sent []byte
+	}{
+		{"retired JSON frame", append(binary.BigEndian.AppendUint32(nil, uint32(len(oldJSON))), oldJSON...)},
+		{"four garbage bytes", []byte{0xDE, 0xAD, 0xBE, 0xEF}},
+		{"preamble with another version byte", []byte{'S', '2', 'P', 0x01}},
+		{"two bytes then hang-up", []byte{'S', '2'}},
+	}
+	for _, o := range openers {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A handler parked on the dead connection would hang the read below;
+		// the watchdog turns that into a failure.
+		watchdog := time.AfterFunc(10*time.Second, func() { _ = conn.Close() })
+		if _, err := conn.Write(o.sent); err != nil {
+			t.Fatalf("%s: write: %v", o.name, err)
+		}
+		if len(o.sent) < len(preambleV2) {
+			if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+				t.Fatalf("%s: half-close: %v", o.name, err)
+			}
+		}
+		// The server hangs up after four bytes; when the opener was longer
+		// the unread rest turns its FIN into a reset, which is the same
+		// answer: the connection is over and nothing was said.
+		reply, err := io.ReadAll(conn)
+		watchdog.Stop()
+		_ = conn.Close()
+		if len(reply) != 0 || (err != nil && !errors.Is(err, syscall.ECONNRESET)) {
+			t.Fatalf("%s: server replied %q, err %v; want no bytes and EOF", o.name, reply, err)
+		}
+	}
+
+	after := srv.Obs().Snapshot().Counters
+	for _, name := range []string{"rpc.requests", "rpc.failures"} {
+		if after[name] != before[name] {
+			t.Fatalf("%s moved %d -> %d on connections that never sent a frame", name, before[name], after[name])
+		}
+	}
+	// The server untracks a connection before closing it, so by the time
+	// every opener read EOF only the v2 client's connection is left.
+	srv.mu.Lock()
+	open := len(srv.conns)
+	srv.mu.Unlock()
+	if open != 1 {
+		t.Fatalf("%d connections still tracked, want 1 (the v2 client)", open)
+	}
+	roundTrip("after")
+
+	closed := make(chan struct{})
+	go func() { srv.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("srv.Close did not return: a handler is parked on a dropped connection")
 	}
 }

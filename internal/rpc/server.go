@@ -112,7 +112,7 @@ func waitDurableTraced(dw durableWaiter, d *dep.Dependency, sp *obs.Span) error 
 }
 
 // Server hosts one KV backend per disk behind a shared listener, speaking
-// v2 (pipelined binary frames) and v1 (lock-step JSON) per connection.
+// the v2 wire contract (pipelined binary frames, see doc.go).
 type Server struct {
 	mu     sync.Mutex
 	kvs    []store.KV
@@ -264,43 +264,18 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// serveConn sniffs the protocol version from the connection's first four
-// bytes: the v2 preamble "S2P\x02", or a v1 frame-length prefix (first
-// byte 0x00/0x01 — lengths are capped at MaxFrame).
+// serveConn checks the connection's first four bytes against the v2
+// preamble "S2P\x02". Anything else — an older protocol, a stray client,
+// garbage, a peer that hangs up early — gets the connection closed without
+// a reply byte and without touching the request counters: no frame was
+// ever parsed, so there is no request id to answer.
 func (s *Server) serveConn(conn net.Conn) {
 	var head [4]byte
-	if _, err := io.ReadFull(conn, head[:]); err != nil {
+	if _, err := io.ReadFull(conn, head[:]); err != nil || head != preambleV2 {
 		return
 	}
-	if head == preambleV2 {
-		s.bytesIn.Add(uint64(len(head)))
-		s.serveConnV2(conn)
-		return
-	}
-	s.serveConnV1(conn, head[:])
-}
-
-// serveConnV1 is the legacy lock-step loop: one frame in, one frame out.
-func (s *Server) serveConnV1(conn net.Conn, head []byte) {
-	for {
-		var req Request
-		if err := readFrameV1(conn, head, &req); err != nil {
-			return // EOF or protocol error: drop the connection
-		}
-		head = nil
-		var resp *Response
-		q, err := reqFromV1(&req)
-		if err != nil {
-			resp = &Response{OK: false, Err: err.Error(), Code: CodeBadRequest.String()}
-			s.requests.Inc()
-			s.failures.Inc()
-		} else {
-			resp = respToV1(s.dispatch(q, nil))
-		}
-		if err := writeFrameV1(conn, resp); err != nil {
-			return
-		}
-	}
+	s.bytesIn.Add(uint64(len(head)))
+	s.serveConnV2(conn)
 }
 
 // outFrame is one response queued for the connection's writer goroutine.
@@ -461,8 +436,8 @@ func (s *Server) serveConnV2(conn net.Conn) {
 	<-writerDone
 }
 
-// dispatch runs one request through the shared (protocol-neutral) path,
-// metering it. sp is the request's span (nil when untraced or over v1).
+// dispatch runs one decoded request, metering it. sp is the request's span
+// (nil when untraced).
 func (s *Server) dispatch(q *wireReq, sp *obs.Span) *wireResp {
 	start := s.obs.Now()
 	var p *wireResp

@@ -108,31 +108,6 @@ func TestTraceFlagAgainstUntracedServer(t *testing.T) {
 	}
 }
 
-// TestV1ShimIgnoresTracing: the legacy JSON protocol has no flags byte, so a
-// v1 client against a tracing-enabled server works unchanged and produces no
-// spans.
-func TestV1ShimIgnoresTracing(t *testing.T) {
-	srv, _ := newTracedServer(t, 2, 0)
-	c, err := DialV1(srv.ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Put("v1-shard", []byte("legacy")); err != nil {
-		t.Fatal(err)
-	}
-	v, err := c.Get("v1-shard")
-	if err != nil || !bytes.Equal(v, []byte("legacy")) {
-		t.Fatalf("v1 get through tracing server: %q %v", v, err)
-	}
-	if traces, _ := srv.tracer.Completed(); len(traces) != 0 {
-		t.Fatalf("v1 requests produced %d traces", len(traces))
-	}
-	if n := srv.tracer.ActiveCount(); n != 0 {
-		t.Fatalf("v1 requests leaked %d active spans", n)
-	}
-}
-
 // TestDurablePutTraceStageSum is the acceptance check from the issue: a
 // durable put through RPC v2 yields a trace whose stages sit inside the
 // parent span, sum to at most its duration, and cover the whole path —

@@ -7,8 +7,7 @@ import (
 	"shardstore/internal/obs"
 )
 
-// wireReq is the protocol-neutral request: the v2 codec and the v1 JSON
-// shim both lower into it, so the server has exactly one dispatch path.
+// wireReq is one decoded request, the form dispatch works on.
 type wireReq struct {
 	op     Opcode
 	key    string // also the scan start bound
@@ -22,11 +21,11 @@ type wireReq struct {
 	limit int
 	// durable requests an acknowledgment only after the mutation is
 	// persistent (group commit). Carried in the v2 frame header's flag byte,
-	// not the payload; the v1 shim has no way to set it.
+	// not the payload.
 	durable bool
 }
 
-// wireResp is the protocol-neutral response.
+// wireResp is one response before encoding.
 type wireResp struct {
 	code Code
 	msg  string

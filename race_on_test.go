@@ -3,7 +3,7 @@
 package shardstore_test
 
 // raceEnabled reports whether this test binary was built with the race
-// detector. The wall-clock throughput gate skips under -race (timings are
-// 10x off and prove nothing); its concurrency coverage comes from the
-// internal/dep race suite instead.
+// detector. The allocation budget skips under -race (the detector's own
+// allocations land in the count); the gates that read the node's counters
+// run either way.
 const raceEnabled = true

@@ -90,7 +90,8 @@ func New(capacity int, cov *coverage.Registry, o *obs.Obs) *Cache {
 }
 
 // Get returns the cached payload and owning key for k, or (nil, "") if
-// absent. The returned slice must not be mutated.
+// absent. The slice is lent, not given: it is the cache's own copy, read-only
+// for the caller, who copies it before handing it to anyone who may write.
 func (c *Cache) Get(k Key) ([]byte, string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -107,7 +108,8 @@ func (c *Cache) Get(k Key) ([]byte, string) {
 }
 
 // Insert caches data (owned by ownerKey) under k, evicting the least
-// recently used entry when over capacity. data is copied.
+// recently used entry when over capacity. data is copied: the caller keeps
+// its slice and the cache never aliases it.
 func (c *Cache) Insert(k Key, ownerKey string, data []byte) {
 	if c.capacity == 0 {
 		return

@@ -18,9 +18,12 @@ var TestHookGarbageRun func(Locator)
 
 // candidate is a decodable frame found by the reclamation scan.
 type candidate struct {
-	loc     Locator
-	tag     Tag
-	key     string
+	loc Locator
+	tag Tag
+	key string
+	// payload borrows the extent image of the Reclaim call that scanned it;
+	// the image is local to that call and not written after the scan, and put
+	// copies the live payloads into their new frames.
 	payload []byte
 }
 
@@ -256,7 +259,7 @@ func (s *Store) scanForFrames(buf []byte, ptr, ps int, unreadable map[int]bool, 
 			loc:     Locator{Extent: victim, Offset: off, Length: flen},
 			tag:     h.Tag,
 			key:     key,
-			payload: append([]byte(nil), payload...),
+			payload: payload,
 		})
 		if bug1 {
 			// Seeded bug #1: skip the pages this frame consumed. The loop's

@@ -29,6 +29,7 @@ var (
 	ErrChunkTooBig = errors.New("chunk: frame exceeds extent capacity")
 	ErrAborted     = errors.New("chunk: reclamation aborted")
 	ErrQuarantined = errors.New("chunk: locator quarantined (failed scrub verification)")
+	ErrBadLocator  = errors.New("chunk: malformed locator")
 )
 
 // Locator is the opaque pointer to a stored chunk (§2.1: "locators are
@@ -369,7 +370,9 @@ func (s *Store) put(tag Tag, key string, payload []byte, forEvacuation bool, avo
 	uuid := s.newUUID()
 	// Allocate the frame with page-padded capacity up front: padTo then
 	// extends in place and the buffer passes to the scheduler whole, so the
-	// payload is copied exactly once on its way to the writeback queue.
+	// payload is copied exactly once on its way to the writeback queue — and,
+	// when the writeback issues uncoalesced, exactly once more on its way to
+	// the device, whose WriteAt reads the queued frame itself.
 	flen := FrameLen(len(key), len(payload))
 	ps := s.pageSize()
 	paddedCap := (flen + ps - 1) / ps * ps
@@ -414,14 +417,17 @@ func (s *Store) put(tag Tag, key string, payload []byte, forEvacuation bool, avo
 	return loc, d, release, nil
 }
 
-// Get reads and validates the chunk at loc, returning its payload.
+// Get reads and validates the chunk at loc, returning its payload. The
+// payload is the caller's own: nothing else holds it, or the capacity behind
+// it.
 func (s *Store) Get(loc Locator) ([]byte, error) {
 	payload, _, err := s.GetWithKey(loc)
 	return payload, err
 }
 
 // GetWithKey reads the chunk at loc, returning payload and owning key. The
-// cache is populated on the read path (no write-allocate): entries record
+// payload is the caller's own: nothing else holds it, or the capacity behind
+// it. The cache is populated on the read path (no write-allocate): entries record
 // the owning key so callers can validate that a locator still names the
 // chunk they meant (the bug #11 guard in the store layer).
 func (s *Store) GetWithKey(loc Locator) ([]byte, string, error) {
@@ -439,7 +445,21 @@ func (s *Store) GetWithKey(loc Locator) ([]byte, string, error) {
 	return payload, key, err
 }
 
+// checkLocator rejects a locator that cannot name a frame on this disk. A
+// locator is decoded from an index entry, so it is checked like any other
+// bytes from disk before it sizes a buffer or indexes an extent table.
+func (s *Store) checkLocator(loc Locator) error {
+	if int(loc.Extent) >= s.em.ExtentCount() || loc.Offset < 0 || loc.Length <= 0 ||
+		loc.Length > s.em.Capacity()-loc.Offset {
+		return fmt.Errorf("%w: %v", ErrBadLocator, loc)
+	}
+	return nil
+}
+
 func (s *Store) getWithKey(loc Locator) ([]byte, string, error) {
+	if err := s.checkLocator(loc); err != nil {
+		return nil, "", err
+	}
 	s.mu.Lock()
 	if s.quarantined[loc] {
 		s.mu.Unlock()
@@ -448,6 +468,7 @@ func (s *Store) getWithKey(loc Locator) ([]byte, string, error) {
 	}
 	s.mu.Unlock()
 	if cached, owner := s.cache.Get(loc.cacheKey()); cached != nil {
+		// The one copy on this path: the cache lends, the caller owns.
 		return append([]byte(nil), cached...), owner, nil
 	}
 	buf := make([]byte, loc.Length)
@@ -460,7 +481,8 @@ func (s *Store) getWithKey(loc Locator) ([]byte, string, error) {
 		return nil, "", fmt.Errorf("chunk: decode %v: %w", loc, err)
 	}
 	s.cache.Insert(loc.cacheKey(), key, payload)
-	return append([]byte(nil), payload...), key, nil
+	// payload aliases buf, which nothing else holds: Insert took a copy.
+	return payload[:len(payload):len(payload)], key, nil
 }
 
 // InvalidateCached drops any cached entry for loc (used by the store layer

@@ -748,10 +748,22 @@ func (s *Scheduler) issueLocked(batch []*writeback) []*writeback {
 // the halves retried independently, so a single bad page does not re-defer
 // unrelated adjacent writebacks (a transient fault is consumed by the failed
 // attempt, so the survivors usually land within the same round).
+//
+// A lone writeback's data goes to the device as it is: WriteAt copies what
+// it is given into its page images and keeps nothing, so the writeback goes
+// on owning the slice (a failed write is retried from it). Only a coalesced
+// run needs a buffer of its own, sized once to the run's total.
 func (s *Scheduler) writeRunLocked(run []*writeback) []*writeback {
-	var buf []byte
-	for _, wb := range run {
-		buf = append(buf, wb.data...)
+	buf := run[0].data
+	if len(run) > 1 {
+		total := 0
+		for _, wb := range run {
+			total += len(wb.data)
+		}
+		buf = make([]byte, 0, total)
+		for _, wb := range run {
+			buf = append(buf, wb.data...)
+		}
 	}
 	if err := s.d.WriteAt(run[0].ext, run[0].off, buf); err != nil {
 		s.stats.WriteErrors++

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"shardstore/internal/disk"
@@ -317,4 +318,97 @@ func TestPumpDrainsChains(t *testing.T) {
 	if s.PendingCount() != 0 || s.IssuedCount() != 0 {
 		t.Fatal("queue not drained")
 	}
+}
+
+// TestSingleWritebackRunIssuesInPlace pins who owns the bytes at the device
+// boundary. A lone writeback is lent to disk.WriteAt as it is (no buffer of
+// the scheduler's own), a coalesced run is assembled in exactly one buffer of
+// the run's total length, the device keeps a copy and not the slice, and the
+// writeback goes on serving ReadAt and a retry from the slice it owns.
+func TestSingleWritebackRunIssuesInPlace(t *testing.T) {
+	const piece = 512 // 3*piece is a Go size class and fits the 2 KiB extent
+	fill := func(b byte) []byte { return bytes.Repeat([]byte{b}, piece) }
+
+	// Allocation: writeRunLocked is driven directly so nothing but the run's
+	// own buffer is in the count. AllocsPerRun's warm-up call leaves the page
+	// images in the disk cache, so the device side allocates nothing either.
+	s := newSched(t)
+	run := []*writeback{
+		{id: 1, ext: 1, off: 0, data: fill(1)},
+		{id: 2, ext: 1, off: piece, data: fill(2)},
+		{id: 3, ext: 1, off: 2 * piece, data: fill(3)},
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := testing.AllocsPerRun(50, func() { s.writeRunLocked(run[:1]) }); n != 0 {
+		t.Fatalf("one-writeback run: %v allocations, want 0 (the data goes to the device as it is)", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { s.writeRunLocked(run) }); n != 1 {
+		t.Fatalf("three-writeback run: %v allocations, want 1 (one buffer sized to the run)", n)
+	}
+	const rounds = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		s.writeRunLocked(run)
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / rounds; got != 3*piece {
+		t.Fatalf("three-writeback run allocated %d B, want exactly %d", got, 3*piece)
+	}
+	buf := make([]byte, 3*piece)
+	if err := s.d.ReadAt(1, 0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := append(append(fill(1), fill(2)...), fill(3)...); !bytes.Equal(buf, want) {
+		t.Fatal("coalesced run reached the device with the wrong bytes")
+	}
+}
+
+// TestIssuedDataIsCopiedAtTheDevice is the aliasing half: the scheduler lends
+// a writeback's slice to the device, so the device must not keep it, and the
+// scheduler must keep it for as long as it may be read or re-issued.
+func TestIssuedDataIsCopiedAtTheDevice(t *testing.T) {
+	s := newSched(t)
+	ps := s.Disk().Config().PageSize
+	data := bytes.Repeat([]byte{0x5A}, ps+7) // spans a page boundary
+	want := append([]byte(nil), data...)
+	read := func(when string) {
+		t.Helper()
+		got := make([]byte, len(want))
+		if err := s.ReadAt(1, 0, got); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: read back %x..., want %x...", when, got[:4], want[:4])
+		}
+	}
+
+	d := s.WriteOwned("w", 1, 0, data)
+	read("queued (overlay)")
+	// A failed write leaves the writeback queued, still serving reads and
+	// still holding the bytes the retry will issue.
+	s.Disk().InjectFailOnce(1)
+	if n := s.Step(); n != 0 {
+		t.Fatalf("step under an injected failure issued %d", n)
+	}
+	read("after a failed issue (overlay)")
+	if n := s.Step(); n != 1 {
+		t.Fatalf("retry issued %d, want 1", n)
+	}
+	read("issued, not durable (device cache)")
+	// The writeback has left the queue; from here the device's copy is the
+	// only source. Scribbling on the slice the scheduler was given must not
+	// show through — WriteAt copied it.
+	for i := range data {
+		data[i] = 0xFF
+	}
+	read("issued, slice scribbled")
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if !d.IsPersistent() {
+		t.Fatal("not persistent after sync")
+	}
+	read("durable")
 }

@@ -288,7 +288,9 @@ func (d *Disk) ClearFailures() {
 // WriteAt writes data to extent ext at byte offset off. The write lands in
 // the volatile cache; it is not durable until Sync (or until a crash happens
 // to preserve it). Writes may span pages; each touched page gets a cached
-// image so a crash can tear the write at page granularity.
+// image so a crash can tear the write at page granularity. data is copied
+// into those images and not retained: this is the device boundary, the one
+// place the write path must copy.
 func (d *Disk) WriteAt(ext ExtentID, off int, data []byte) error {
 	start := d.obs.Now()
 	d.mu.Lock()

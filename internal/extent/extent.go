@@ -379,6 +379,10 @@ func (m *Manager) Append(label string, ext disk.ExtentID, data []byte, waits ...
 // pointer").
 func (m *Manager) Read(ext disk.ExtentID, off, length int, buf []byte) error {
 	m.mu.Lock()
+	if int(ext) >= len(m.owner) {
+		m.mu.Unlock()
+		return fmt.Errorf("%w: read from extent %d of %d", ErrNotOwned, ext, len(m.owner))
+	}
 	if m.owner[ext] == OwnerFree {
 		m.mu.Unlock()
 		return fmt.Errorf("%w: read from free extent %d", ErrNotOwned, ext)

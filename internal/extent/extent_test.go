@@ -95,6 +95,11 @@ func TestReadBeyondPointerRejected(t *testing.T) {
 	if err := m.Read(ext, 0, 3, buf); !errors.Is(err, ErrBeyondPointer) {
 		t.Fatalf("read beyond pointer: %v", err)
 	}
+	// An extent number the table does not have is an error, not an index
+	// panic: it can come from a locator decoded off the disk.
+	if err := m.Read(disk.ExtentID(m.ExtentCount()+7), 0, 1, buf); !errors.Is(err, ErrNotOwned) {
+		t.Fatalf("read from an extent past the table: %v", err)
+	}
 }
 
 func TestAppendDependsOnPointerRecord(t *testing.T) {

@@ -37,7 +37,8 @@ type BatchKV interface {
 	DeleteBatch(ids []string) []error
 }
 
-// ScanEntry is one shard in a Scan result page.
+// ScanEntry is one shard in a Scan result page. Value is the caller's own,
+// like Get's result.
 type ScanEntry struct {
 	Key   string
 	Value []byte

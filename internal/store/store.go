@@ -457,7 +457,8 @@ func splitValue(data []byte, max int) [][]byte {
 	return out
 }
 
-// Get returns the shard's data or ErrNotFound.
+// Get returns the shard's data or ErrNotFound. The slice is the caller's
+// own: nothing in the node holds it.
 //
 // Because reclamation can relocate a shard's chunks concurrently with a
 // read, a locator fetched from the index may be stale by the time its chunk
@@ -517,10 +518,14 @@ func (s *Store) getInner(shardID string) ([]byte, error) {
 // cache entries of mismatching locators so a retry re-reads from disk. Each
 // piece needs only one healthy replica: replicas are tried in entry order and
 // the first one that decodes with the right owner wins, so k < R rotted (or
-// quarantined) copies leave the shard readable.
+// quarantined) copies leave the shard readable. The chunk store hands over
+// payloads the caller owns, so a one-piece shard is returned as read and a
+// longer one is assembled in a buffer sized once.
 func (s *Store) readChunks(shardID string, groups [][]chunk.Locator) ([]byte, error) {
 	bug11 := s.bugs().Enabled(faults.Bug11WriteFlushRace)
-	var data []byte
+	var one [1][]byte // keeps a one-piece shard's list of pieces off the heap
+	pieces := one[:0]
+	total := 0
 	for _, group := range groups {
 		var payload []byte
 		var lastErr error
@@ -548,10 +553,16 @@ func (s *Store) readChunks(shardID string, groups [][]chunk.Locator) ([]byte, er
 		if !ok {
 			return nil, lastErr
 		}
-		data = append(data, payload...)
+		pieces = append(pieces, payload)
+		total += len(payload)
 	}
-	if data == nil {
-		data = []byte{}
+	if len(pieces) == 1 && pieces[0] != nil {
+		return pieces[0], nil
+	}
+	// make never returns nil, so an empty shard reads back as []byte{}.
+	data := make([]byte, 0, total)
+	for _, p := range pieces {
+		data = append(data, p...)
 	}
 	return data, nil
 }

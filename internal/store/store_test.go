@@ -376,3 +376,71 @@ func TestCrashRecoverLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestGetResultIsCallerOwned: Get and Scan hand back the chunk store's own
+// read buffer (one piece) or a buffer assembled for the call (several), never
+// bytes the cache or a later reader holds. So whatever the caller does to a
+// result — overwrite every byte, append past its end — the next read, from
+// the cache or from disk, still returns what was put.
+func TestGetResultIsCallerOwned(t *testing.T) {
+	s, _ := mustOpen(t, testConfig(31))
+	pattern := func(n int, salt byte) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i)*3 + salt
+		}
+		return b
+	}
+	// One chunk, several chunks (the default piece is a page and a half),
+	// and a piece boundary exactly at the end.
+	want := map[string][]byte{
+		"a-one":   pattern(100, 1),
+		"b-multi": pattern(700, 2),
+		"c-exact": pattern(2*s.cfg.MaxChunkPayload, 3),
+	}
+	for k, v := range want {
+		if _, err := s.Put(k, v); err != nil {
+			t.Fatalf("Put %s: %v", k, err)
+		}
+	}
+	// No flush: every index entry is still in the memtable.
+
+	abuse := func(b []byte) {
+		for i := range b {
+			b[i] = 0xEE
+		}
+		b = append(b, 0xEE, 0xEE, 0xEE, 0xEE)
+		b[len(b)-1] = 0xDD
+	}
+	check := func(when string) {
+		t.Helper()
+		for k, v := range want {
+			got, err := s.Get(k)
+			if err != nil {
+				t.Fatalf("%s: Get %s: %v", when, k, err)
+			}
+			if !bytes.Equal(got, v) {
+				t.Fatalf("%s: Get %s returned bytes an earlier caller wrote", when, k)
+			}
+			abuse(got)
+		}
+		page, more, err := s.Scan("", "", 0)
+		if err != nil || more || len(page) != len(want) {
+			t.Fatalf("%s: Scan: %d entries, more=%v, %v", when, len(page), more, err)
+		}
+		for _, e := range page {
+			if !bytes.Equal(e.Value, want[e.Key]) {
+				t.Fatalf("%s: Scan entry %s carries bytes an earlier caller wrote", when, e.Key)
+			}
+			abuse(e.Value)
+		}
+	}
+	check("first read (cache miss)")
+	check("second read (cache hit)")
+	s.Chunks().Cache().DrainAll()
+	check("after DrainAll (miss again)")
+	check("hit after the second miss")
+	if st := s.Chunks().Cache().Stats(); st.Hits == 0 || st.Misses == 0 {
+		t.Fatalf("test did not cross both paths: %+v", st)
+	}
+}

@@ -2,7 +2,8 @@
 # CI gate for the repo: vet, build, full test suite, then the race detector
 # over the packages with real concurrency (the worker-pool harness, the
 # coverage registry, and the pluggable sync layer). The full `go test ./...`
-# is about 73 s on a 2-vCPU runner, 70 s of it internal/core.
+# is 75-80 s on a 2-vCPU runner, nearly all of it internal/core (66 s when it
+# runs alone).
 #
 # The -race pass builds with the `race` tag, which makes the long
 # deterministic bug-hunt suites skip themselves (see
@@ -63,11 +64,18 @@ go test -run 'TestObservabilityDeterminismGate' -count=1 ./internal/core/
 echo "== trace determinism gate (spans on/off: same verdicts, same disk bytes)"
 go test -run 'TestTraceDeterminismGate' -count=1 ./internal/core/
 
-echo "== validation-throughput gate (random streams pinned, golden harness fingerprint, <= 400 KB allocated per conformance case)"
+echo "== validation-throughput gate (random streams pinned, golden harness fingerprint)"
 go test -run 'TestReseedDeterminism|TestReseedAllocatesNothing' -count=1 ./internal/chunk/
 go test -run 'TestReseedMakesStoresIdentical' -count=1 ./internal/store/
 go test -run 'TestHarnessFingerprint' -count=1 ./internal/core/
-go test -run 'TestConformanceCaseCostBudget' -count=1 -v . | grep -E 'per case|ok  |PASS|FAIL'
+
+echo "== allocation budgets (node_4k: Get hit <= 1 page + 640 B, miss <= 2 pages + 1280 B, durable put <= 48 KB, half-live extent reclaim <= 3328 KB; <= 350 KB per conformance case)"
+go test -run 'TestGetAllocBudget|TestDurablePutAllocBudget|TestReclaimAllocBudget|TestConformanceCaseCostBudget' -count=1 -v . | grep -E ' B per| KB |per case|ok  |PASS|FAIL'
+
+echo "== ownership oracles -race (results caller-owned, reclaim evacuates exact bytes under a reader, lone writebacks issue in place, malformed locators rejected)"
+go test -race -timeout 300s -run 'TestGetResultIsCallerOwned' -count=1 ./internal/store/
+go test -race -timeout 300s -run 'TestReclaimEvacuatesExactBytes|TestGetRejectsMalformedLocator' -count=1 ./internal/chunk/
+go test -race -timeout 300s -run 'TestSingleWritebackRunIssuesInPlace|TestIssuedDataIsCopiedAtTheDevice|TestReadsProceedDuringSync' -count=1 ./internal/dep/
 
 echo "== group-commit gate (syncs/put at 8 writers <= 1/2 lock-step)"
 go test -timeout 300s -run 'TestGroupCommitThroughputGate' -count=1 -v . | grep -E 'syncs|ok  |PASS|FAIL'

@@ -7,17 +7,14 @@
 //	go run ./cmd/shardlint -json ./...
 //	go run ./cmd/shardlint -waivers ./...
 //
-// The per-file passes enforce the validation stack's soundness
-// side-conditions: syncusage (vsync instrumentation completeness in
-// model-checked packages), determinism (no wall clock / global math/rand on
-// replayed paths), mapiter (map iteration order must not leak into
-// harness-visible state), and droppederr (no discarded disk/extent/chunk IO
-// errors). The flow-aware passes check lock discipline and instrumentation
-// completeness over the module call graph: lockorder (acquisition-order
-// cycles; locks held across blocking operations), unlockpath (every
-// acquired lock released on all return/panic paths), stagevocab (span stage
-// names match the documented obs vocabulary), and obscomplete (every RPC v2
-// opcode has name, dispatch, and histogram coverage).
+// The four per-file passes enforce the validation stack's soundness
+// side-conditions, the ones no execution can check: syncusage (vsync
+// instrumentation completeness in model-checked packages), determinism (no
+// wall clock / global math/rand on replayed paths), mapiter (map iteration
+// order must not leak into harness-visible state), and droppederr (no
+// discarded disk/extent/chunk IO errors). Lock discipline is checked at run
+// time by the internal/shuttle scheduler; span stage names and RPC opcode
+// coverage by tests in internal/rpc.
 //
 // Findings are acknowledged in place with `//shardlint:allow <pass>
 // <reason>`; -waivers prints the full justified inventory in the line

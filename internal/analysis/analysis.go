@@ -18,39 +18,17 @@
 //     iteration order leak into slices, output, or channels.
 //   - droppederr: disk/extent/chunk IO errors must never be discarded.
 //
-// On top of the per-unit walks sits a flow-aware engine (callgraph.go,
-// flow.go): a static call graph over the whole module with per-function
-// effect summaries, and an intraprocedural, defer-aware lock-state walker.
-// Four passes use it:
-//
-//   - lockorder: derives the vsync lock-acquisition order across the
-//     durable-path packages, flags order cycles, and flags any path that
-//     holds a lock across disk.Sync, a channel operation, or a barrier
-//     wait (directly or through any statically reachable callee).
-//   - unlockpath: every lock a function acquires is released on every
-//     return and panic path, with defer (including deferred closures)
-//     honored; double acquisitions and read/write mode mismatches are
-//     flagged too.
-//   - stagevocab: span stage names at call sites form exactly the
-//     vocabulary internal/obs documents, and literal metric names are
-//     well-formed and never registered under two metric kinds.
-//   - obscomplete: every RPC v2 opcode has an opName entry, a dispatch
-//     case, and (via the opPut..opMax registration loop) a latency
-//     histogram — so adding an opcode without bumping opMax is a finding.
-//
-// The call graph resolves direct calls through go/types and approximates
-// dynamic dispatch by resolving an interface method to every module type
-// that implements the interface. Calls into internal/vsync and
-// internal/shuttle are not traversed: that layer is the modeled runtime,
-// and its internal channel use implements scheduling rather than program
-// communication. Function values passed as arguments are not chased; func
-// literals are analyzed as their own nodes with an empty entry lock state.
+// Each pass checks what no execution can: which primitives the source
+// names, and what it discards. Lock discipline (order cycles, locks held at
+// thread exit, re-acquisition, Cond.Wait holding another lock) is checked
+// where the locks run, by the internal/shuttle scheduler, and the span
+// stage vocabulary and RPC opcode coverage by tests in internal/rpc.
 //
 // The driver is built on go/parser, go/ast, and go/types with the stdlib
 // source importer — no golang.org/x/tools dependency — so it runs anywhere
 // the toolchain does. Findings are position-accurate diagnostics; the
 // cmd/shardlint CLI exits nonzero on any finding. All passes share one
-// type-checked load, and the module passes share one call graph.
+// type-checked load.
 //
 // # Suppressions
 //
@@ -85,8 +63,7 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: [%s] %s", d.Pos, d.Pass, d.Message)
 }
 
-// Pass is a named check: per-unit (Run) or module-wide over the shared
-// call graph (RunModule). Exactly one of the two is set.
+// Pass is a named check over one unit at a time.
 type Pass struct {
 	// Name identifies the pass in diagnostics and suppression comments.
 	Name string
@@ -95,18 +72,11 @@ type Pass struct {
 	// Run reports the pass's findings for u. Suppression filtering is the
 	// driver's job; Run reports everything it sees.
 	Run func(u *Unit) []Diagnostic
-	// RunModule reports the pass's findings over the whole loaded module.
-	// The Program (units + call graph + summaries) is built once by the
-	// driver and shared by every module pass.
-	RunModule func(p *Program) []Diagnostic
 }
 
 // AllPasses returns the repo's pass suite in reporting order.
 func AllPasses() []*Pass {
-	return []*Pass{
-		SyncUsage, Determinism, MapIter, DroppedErr,
-		LockOrder, UnlockPath, StageVocab, ObsComplete,
-	}
+	return []*Pass{SyncUsage, Determinism, MapIter, DroppedErr}
 }
 
 // PassTiming is one pass's wall-clock cost from a timed run, for the CLI's
@@ -125,8 +95,7 @@ func RunPasses(units []*Unit, passes []*Pass) []Diagnostic {
 	return diags
 }
 
-// RunPassesTimed is RunPasses plus per-pass wall-clock timings (the call
-// graph build is attributed to the first module pass that forces it).
+// RunPassesTimed is RunPasses plus per-pass wall-clock timings.
 func RunPassesTimed(units []*Unit, passes []*Pass) ([]Diagnostic, []PassTiming) {
 	known := make(map[string]bool, len(passes))
 	for _, p := range passes {
@@ -138,17 +107,12 @@ func RunPassesTimed(units []*Unit, passes []*Pass) ([]Diagnostic, []PassTiming) 
 		allows[allowKey{w.Pos.Filename, w.Pos.Line, w.Pass}] = true
 		allows[allowKey{w.Pos.Filename, w.Pos.Line + 1, w.Pass}] = true
 	}
-	prog := NewProgram(units)
 	timings := make([]PassTiming, 0, len(passes))
 	for _, p := range passes {
 		start := time.Now()
 		var found []Diagnostic
-		if p.RunModule != nil {
-			found = p.RunModule(prog)
-		} else {
-			for _, u := range units {
-				found = append(found, p.Run(u)...)
-			}
+		for _, u := range units {
+			found = append(found, p.Run(u)...)
 		}
 		timings = append(timings, PassTiming{Name: p.Name, Elapsed: time.Since(start)})
 		for _, d := range found {

@@ -35,9 +35,9 @@ func loadRepo(t *testing.T) []*analysis.Unit {
 	return repoLoad.units
 }
 
-// TestShardlintCleanOnRepo runs the full pass suite — the per-file passes
-// and the flow-aware module passes (lockorder, unlockpath, stagevocab,
-// obscomplete) — over the real module and requires zero findings. With this
+// TestShardlintCleanOnRepo runs the full pass suite (syncusage,
+// determinism, mapiter, droppederr) over the real module and requires zero
+// findings. With this
 // gate in place a shardlint failure in CI is always a regression introduced
 // by the change under review — never pre-existing noise and never flake
 // (the analysis is a pure function of the source tree).

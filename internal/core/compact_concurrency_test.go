@@ -25,10 +25,12 @@ func TestCompactionConcurrencyClean(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			body := h(faults.NewSet())
 			rep := shuttle.Explore(shuttle.Options{Strategy: shuttle.NewRandom(17), Iterations: 300}, body)
+			logLockCoverage(t, rep)
 			if rep.Failed() {
 				t.Fatalf("clean compaction baseline failed: %v", rep.First())
 			}
 			rep = shuttle.Explore(shuttle.Options{Strategy: shuttle.NewPCT(23, 3, 4000), Iterations: 200}, body)
+			logLockCoverage(t, rep)
 			if rep.Failed() {
 				t.Fatalf("clean compaction baseline failed under PCT: %v", rep.First())
 			}

@@ -29,10 +29,12 @@ func TestConcurrencyHarnessesCleanBaseline(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			body := h(faults.NewSet())
 			rep := shuttle.Explore(shuttle.Options{Strategy: shuttle.NewRandom(17), Iterations: 300}, body)
+			logLockCoverage(t, rep)
 			if rep.Failed() {
 				t.Fatalf("clean baseline failed: %v", rep.First())
 			}
 			rep = shuttle.Explore(shuttle.Options{Strategy: shuttle.NewPCT(23, 3, 4000), Iterations: 200}, body)
+			logLockCoverage(t, rep)
 			if rep.Failed() {
 				t.Fatalf("clean baseline failed under PCT: %v", rep.First())
 			}
@@ -77,6 +79,15 @@ func TestDetectConcurrencyBugs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// logLockCoverage logs how much locking the lock-discipline checker saw in
+// one iteration of a harness: lock instances and acquired-while-holding
+// edges.
+func logLockCoverage(t *testing.T, rep shuttle.Report) {
+	t.Helper()
+	t.Logf("%s: %d iterations, lock checker saw up to %d lock instances and %d order edges per iteration",
+		rep.Strategy, rep.Iterations, rep.LockInstances, rep.LockEdges)
 }
 
 func truncate(s string, n int) string {

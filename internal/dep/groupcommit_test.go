@@ -306,5 +306,6 @@ func TestShuttleGroupCommit(t *testing.T) {
 	if rep.Failed() {
 		t.Fatalf("shuttle found %d failures; first: %v", len(rep.Failures), rep.First())
 	}
-	t.Logf("explored %d interleavings, %d scheduling steps", rep.Iterations, rep.TotalSteps)
+	t.Logf("explored %d interleavings, %d scheduling steps; lock checker saw up to %d lock instances and %d order edges per iteration",
+		rep.Iterations, rep.TotalSteps, rep.LockInstances, rep.LockEdges)
 }

@@ -58,21 +58,25 @@ func TestSerializationQuick(t *testing.T) {
 
 func TestCategorizeMapping(t *testing.T) {
 	cases := map[string]locCategory{
-		"internal/disk/disk.go":           catImplementation,
-		"internal/disk/disk_test.go":      catUnitTests,
-		"internal/model/refindex.go":      catRefModels,
-		"internal/model/model_test.go":    catUnitTests,
-		"internal/core/ops.go":            catFunctional,
-		"internal/core/harness.go":        catCrash,
-		"internal/core/concurrency.go":    catConcurrency,
-		"internal/shuttle/shuttle.go":     catConcurrency,
-		"internal/linearize/linearize.go": catConcurrency,
-		"internal/prop/prop.go":           catFunctional,
-		"internal/experiments/fig5.go":    catTooling,
-		"cmd/experiments/main.go":         catTooling,
-		"examples/quickstart/main.go":     catTooling,
-		"bench_test.go":                   catTooling,
-		"internal/store/store.go":         catImplementation,
+		"internal/disk/disk.go":            catImplementation,
+		"internal/disk/disk_test.go":       catUnitTests,
+		"internal/model/refindex.go":       catRefModels,
+		"internal/model/model_test.go":     catUnitTests,
+		"internal/core/ops.go":             catFunctional,
+		"internal/core/harness.go":         catCrash,
+		"internal/core/concurrency.go":     catConcurrency,
+		"internal/shuttle/shuttle.go":      catConcurrency,
+		"internal/linearize/linearize.go":  catConcurrency,
+		"internal/prop/prop.go":            catFunctional,
+		"internal/experiments/fig5.go":     catTooling,
+		"cmd/experiments/main.go":          catTooling,
+		"examples/quickstart/main.go":      catTooling,
+		"bench_test.go":                    catTooling,
+		"internal/store/store.go":          catImplementation,
+		"internal/analysis/analysis.go":    catTooling,
+		"internal/analysis/passes_test.go": catTooling,
+		"bench/node.go":                    catTooling,
+		"bench/bench_test.go":              catTooling,
 	}
 	for path, want := range cases {
 		if got := categorize(path); got != want {

@@ -33,7 +33,9 @@ const (
 // categorize maps a repo-relative path to its Fig 6 bucket. The mapping
 // mirrors the paper's split: the implementation packages, their ordinary
 // unit/integration tests, the reference models, and the three classes of
-// validation infrastructure.
+// validation infrastructure. Tools that run beside the node rather than in
+// it — cmd/, the experiments, the examples, the shardlint analyzer and the
+// repository benchmark module — are tooling, tests included.
 func categorize(rel string) locCategory {
 	rel = filepath.ToSlash(rel)
 	isTest := strings.HasSuffix(rel, "_test.go")
@@ -63,8 +65,10 @@ func categorize(rel string) locCategory {
 	case strings.HasPrefix(rel, "internal/prop/"):
 		return catFunctional
 	case strings.HasPrefix(rel, "internal/experiments/"),
+		strings.HasPrefix(rel, "internal/analysis/"),
 		strings.HasPrefix(rel, "cmd/"),
 		strings.HasPrefix(rel, "examples/"),
+		strings.HasPrefix(rel, "bench/"),
 		rel == "bench_test.go":
 		return catTooling
 	case isTest:

@@ -3,7 +3,6 @@ package rpc
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -95,7 +94,8 @@ func BenchmarkRPCSharedClient8(b *testing.B) {
 	b.ReportMetric(float64(perG*goroutines)/b.Elapsed().Seconds(), "ops/s")
 }
 
-// opsPerSec runs fn, which performs ops operations, and returns the rate.
+// opsPerSec runs fn, which performs ops operations, and returns the rate
+// in operations per wall-clock second.
 func opsPerSec(ops int, fn func()) float64 {
 	start := time.Now() //shardlint:allow determinism throughput measurement, not a replayed path
 	fn()
@@ -125,29 +125,18 @@ func TestPipelineThroughputGain(t *testing.T) {
 	srv, c := newWideServer(t, 4)
 	benchSeed(t, c, 64)
 
-	// The server decrements its depth count just after it queues a reply, so
-	// the reply can reach the caller first. settle lets the count return to
-	// zero, so that the next frame read observes exactly its own request.
-	settle := func() {
-		for srv.inflight.Value() != 0 {
-			runtime.Gosched()
-		}
-	}
-
 	lockstep, err := Dial(srv.ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lockstep.Close()
 	const lockstepOps = 2048
-	settle()
 	before := srv.depth.Snapshot()
 	lockstepRate := opsPerSec(lockstepOps, func() {
 		for i := 0; i < lockstepOps; i++ {
 			if _, err := lockstep.Get(ctx, benchKey(i)); err != nil {
 				t.Fatal(err)
 			}
-			settle()
 		}
 	})
 	// Every request of the phase observed depth 1: the depths sum to the count.

@@ -132,8 +132,8 @@ type Server struct {
 	failures *obs.Counter
 	bytesIn  *obs.Counter
 	bytesOut *obs.Counter
-	inflight *obs.Gauge
-	depth    *obs.Histogram
+	inflight *obs.Gauge     // requests read and not yet answered, all connections
+	depth    *obs.Histogram // per connection, requests read and not yet answered, counting the one just read
 	opLat    map[Opcode]*obs.Histogram
 }
 
@@ -393,6 +393,10 @@ func (s *Server) serveConnV2(conn net.Conn) {
 					body, _ = encodeResp(w.h.op, respErr(CodeFrameTooLarge,
 						fmt.Sprintf("response payload %d > %d", len(body), MaxFrame)))
 				}
+				// The request is answered: count it out before the reply can
+				// reach the caller, so a caller's next frame never sees it.
+				depth.Add(-1)
+				s.inflight.Add(-1)
 				// A send after the writer bailed is safe: the writer drains
 				// the channel before returning, and it only returns once the
 				// connection is dead.
@@ -407,8 +411,6 @@ func (s *Server) serveConnV2(conn net.Conn) {
 				case <-writerDone:
 					w.sp.Finish()
 				}
-				depth.Add(-1)
-				s.inflight.Add(-1)
 			}
 		}()
 	}

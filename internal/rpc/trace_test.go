@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"regexp"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -275,4 +277,111 @@ func TestTraceAttributionStress(t *testing.T) {
 		100*float64(staged)/float64(slowest.Duration()))
 	slow, _ := srv.tracer.Slow()
 	t.Logf("slow log retained %d of %d requests over threshold", len(slow), writers*perWriter)
+}
+
+// metricNameRe is the well-formedness rule for metric names: dotted
+// lower-case words.
+var metricNameRe = regexp.MustCompile(`^[a-z][a-z0-9_.]*$`)
+
+// TestTraceStageVocabulary checks the dumped spans and the whole node's
+// registry against the vocabulary internal/obs documents. Every stage a
+// request records is one of the four obs.Stage* stages or "store.<op>" for
+// the request's own op, and every recording site is reached: the queue and
+// reply stages, the store put/get/delete stages, and the group-commit
+// leader's sync and follower's wait. Every metric name is well-formed, and
+// none is registered under two metric kinds.
+func TestTraceStageVocabulary(t *testing.T) {
+	ctx := context.Background()
+	// A device flush that costs real time lets concurrent durable writers
+	// queue behind the leader's sync as followers.
+	disk.TestHookPreSync = func() { time.Sleep(time.Millisecond) }
+	defer func() { disk.TestHookPreSync = nil }()
+	srv := NewServer(newTestStores(t, 1), obs.New(obs.NewWallClock()).WithSpans(256, 0))
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+
+	want := []string{obs.StageQueueWait, obs.StageBarrierWait, obs.StageDiskSync, obs.StageReply, "store.put", "store.get", "store.delete"}
+	seen := make(map[string]bool)
+	for round := 0; round < 10 && len(seen) < len(want); round++ {
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c, err := Dial(addr)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer c.Close()
+				c.SetTracing(true)
+				key := fmt.Sprintf("shard-%d-%d", round, w)
+				if err := c.PutDurable(ctx, key, []byte("v")); err != nil {
+					t.Error(err)
+				}
+				if _, err := c.Get(ctx, key); err != nil {
+					t.Error(err)
+				}
+				if err := c.Delete(ctx, key); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		for srv.tracer.ActiveCount() > 0 {
+			time.Sleep(time.Millisecond)
+		}
+		traces, _ := srv.tracer.Completed()
+		for _, tr := range traces {
+			for _, st := range tr.Stages {
+				switch st.Name {
+				case obs.StageQueueWait, obs.StageBarrierWait, obs.StageDiskSync, obs.StageReply, "store." + tr.Op:
+					seen[st.Name] = true
+				default:
+					t.Fatalf("%s request recorded stage %q, outside the obs vocabulary", tr.Op, st.Name)
+				}
+			}
+		}
+	}
+	for _, name := range want {
+		if !seen[name] {
+			t.Errorf("no request recorded stage %q", name)
+		}
+	}
+
+	kinds := make(map[string]string)
+	snap := srv.metrics()
+	for _, reg := range []struct {
+		kind  string
+		names []string
+	}{
+		{"counter", sortedKeys(snap.Counters)},
+		{"gauge", sortedKeys(snap.Gauges)},
+		{"histogram", sortedKeys(snap.Histograms)},
+	} {
+		for _, name := range reg.names {
+			if !metricNameRe.MatchString(name) {
+				t.Errorf("metric name %q is not well-formed", name)
+			}
+			if other, dup := kinds[name]; dup {
+				t.Errorf("metric %q is registered as both a %s and a %s", name, other, reg.kind)
+			}
+			kinds[name] = reg.kind
+		}
+	}
+	if len(kinds) == 0 {
+		t.Fatal("empty registry snapshot")
+	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }

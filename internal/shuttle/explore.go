@@ -16,6 +16,8 @@ const (
 	FailDeadlock
 	// FailStepBound means the iteration exceeded the step budget.
 	FailStepBound
+	// FailLockDiscipline is a lock-discipline violation (lockcheck.go).
+	FailLockDiscipline
 )
 
 func (k FailureKind) String() string {
@@ -26,6 +28,8 @@ func (k FailureKind) String() string {
 		return "deadlock"
 	case FailStepBound:
 		return "step-bound"
+	case FailLockDiscipline:
+		return "lock-discipline"
 	default:
 		return fmt.Sprintf("FailureKind(%d)", int(k))
 	}
@@ -69,6 +73,9 @@ type Report struct {
 	// Exhausted is true when DFS covered the entire bounded space.
 	Exhausted bool
 	Failures  []*Failure
+	// LockInstances and LockEdges are the most lock instances and order
+	// edges the lock-discipline checker recorded in one iteration.
+	LockInstances, LockEdges int
 }
 
 // Failed reports whether any failure was found.
@@ -118,12 +125,20 @@ func Explore(opts Options, body func()) Report {
 			maxSteps: opts.MaxSteps,
 			events:   make(chan event),
 		}
+		_, s.sites = opts.Strategy.(*Fixed)
 		prev := vsync.SetRuntime(s)
 		failure := s.run(body)
 		vsync.SetRuntime(prev)
 		report.Iterations++
 		report.TotalSteps += int64(s.steps)
+		report.LockInstances = max(report.LockInstances, s.locks)
+		report.LockEdges = max(report.LockEdges, s.edges)
 		if failure != nil {
+			if !s.sites { // replay it once to name its lock sites
+				if r := Replay(body, failure.Trace, opts.MaxSteps); r != nil && r.Kind == failure.Kind {
+					failure.Err = r.Err
+				}
+			}
 			failure.Iteration = i
 			report.Failures = append(report.Failures, failure)
 			if !opts.ContinueAfterFailure {

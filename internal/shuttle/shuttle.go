@@ -57,6 +57,9 @@ type thread struct {
 
 	joiners []*thread
 
+	held      []hold // locks held, in acquisition order
+	spawnedAt site
+
 	// pctPriority is the thread priority under the PCT strategy.
 	pctPriority int
 }
@@ -79,6 +82,7 @@ type abortSentinel struct{}
 
 // mutexState is the per-run state attached to a vsync.Mutex.
 type mutexState struct {
+	lockNode
 	runID   uint64
 	holder  *thread
 	waiters []*thread
@@ -86,6 +90,7 @@ type mutexState struct {
 
 // rwState is the per-run state attached to a vsync.RWMutex.
 type rwState struct {
+	lockNode
 	runID   uint64
 	writer  *thread
 	readers int
@@ -104,15 +109,22 @@ type scheduler struct {
 	strategy Strategy
 	maxSteps int
 
-	threads []*thread
-	current *thread
-	events  chan event
-	wg      sync.WaitGroup
+	threads  []*thread
+	runnable []*thread // runnableThreads' buffer, reused every step
+	current  *thread
+	events   chan event
+	wg       sync.WaitGroup
 
 	steps   int
 	trace   []int // chosen runnable-index at every scheduling decision
 	nextID  int
 	failure *Failure
+
+	// Lock-discipline state (lockcheck.go).
+	locks, edges int    // lock instances and order edges seen
+	violation    string // the first violation
+	halt         bool   // violation ends the iteration at the next event
+	sites        bool   // capture lock-operation stacks (replays only)
 
 	// aborted is set when the iteration is being torn down. Worker threads
 	// unwind via panic(abortSentinel); any vsync calls their deferred
@@ -154,6 +166,7 @@ func (s *scheduler) mutexState(m *vsync.Mutex) *mutexState {
 	}
 	st := &mutexState{runID: s.runID}
 	m.Sched = st
+	s.locks++
 	return st
 }
 
@@ -163,6 +176,7 @@ func (s *scheduler) rwStateOf(m *vsync.RWMutex) *rwState {
 	}
 	st := &rwState{runID: s.runID}
 	m.Sched = st
+	s.locks++
 	return st
 }
 
@@ -180,9 +194,10 @@ func (s *scheduler) MutexLock(m *vsync.Mutex) {
 	if s.aborted.Load() {
 		return
 	}
-	t := s.currentThread()
+	t, at := s.currentThread(), s.callerSite()
 	s.yieldPoint(t) // racing threads can interleave before the acquire
 	st := s.mutexState(m)
+	s.checkReentry(t, &st.lockNode, at)
 	for st.holder != nil {
 		t.state = stateBlockedMutex
 		t.waitMutex = st
@@ -191,6 +206,7 @@ func (s *scheduler) MutexLock(m *vsync.Mutex) {
 		t.waitMutex = nil
 	}
 	st.holder = t
+	s.acquired(t, &st.lockNode, false, at)
 }
 
 // MutexTryLock implements vsync.Runtime.
@@ -198,13 +214,14 @@ func (s *scheduler) MutexTryLock(m *vsync.Mutex) bool {
 	if s.aborted.Load() {
 		return true
 	}
-	t := s.currentThread()
+	t, at := s.currentThread(), s.callerSite()
 	s.yieldPoint(t)
 	st := s.mutexState(m)
 	if st.holder != nil {
 		return false
 	}
 	st.holder = t
+	s.acquired(t, &st.lockNode, true, at)
 	return true
 }
 
@@ -218,7 +235,8 @@ func (s *scheduler) MutexUnlock(m *vsync.Mutex) {
 	if st.holder != t {
 		panic(fmt.Sprintf("shuttle: unlock of mutex not held by %s", t.name))
 	}
-	st.holder = nil
+	t.release(&st.lockNode)
+	st.holder, st.released = nil, s.callerSite()
 	for _, w := range st.waiters {
 		w.state = stateRunnable
 	}
@@ -230,9 +248,10 @@ func (s *scheduler) RLock(m *vsync.RWMutex) {
 	if s.aborted.Load() {
 		return
 	}
-	t := s.currentThread()
+	t, at := s.currentThread(), s.callerSite()
 	s.yieldPoint(t)
 	st := s.rwStateOf(m)
+	s.checkReentry(t, &st.lockNode, at)
 	for st.writer != nil {
 		t.state = stateBlockedMutex
 		t.waitRW = st
@@ -242,6 +261,7 @@ func (s *scheduler) RLock(m *vsync.RWMutex) {
 		t.waitRW = nil
 	}
 	st.readers++
+	s.acquired(t, &st.lockNode, false, at)
 }
 
 // RUnlock implements vsync.Runtime.
@@ -249,10 +269,15 @@ func (s *scheduler) RUnlock(m *vsync.RWMutex) {
 	if s.aborted.Load() {
 		return
 	}
+	t := s.currentThread()
 	st := s.rwStateOf(m)
+	if i := t.find(&st.lockNode); i >= 0 && st.writer == t {
+		panic(fmt.Sprintf("shuttle: RUnlock at %s of a RWMutex write-held since %s", s.callerSite(), t.held[i].at))
+	}
 	if st.readers <= 0 {
 		panic("shuttle: RUnlock without RLock")
 	}
+	t.release(&st.lockNode)
 	st.readers--
 	if st.readers == 0 {
 		for _, w := range st.waiters {
@@ -267,9 +292,10 @@ func (s *scheduler) WLock(m *vsync.RWMutex) {
 	if s.aborted.Load() {
 		return
 	}
-	t := s.currentThread()
+	t, at := s.currentThread(), s.callerSite()
 	s.yieldPoint(t)
 	st := s.rwStateOf(m)
+	s.checkReentry(t, &st.lockNode, at)
 	for st.writer != nil || st.readers > 0 {
 		t.state = stateBlockedMutex
 		t.waitRW = st
@@ -279,6 +305,7 @@ func (s *scheduler) WLock(m *vsync.RWMutex) {
 		t.waitRW = nil
 	}
 	st.writer = t
+	s.acquired(t, &st.lockNode, false, at)
 }
 
 // WUnlock implements vsync.Runtime.
@@ -291,6 +318,7 @@ func (s *scheduler) WUnlock(m *vsync.RWMutex) {
 	if st.writer != t {
 		panic("shuttle: WUnlock of RWMutex not write-held by caller")
 	}
+	t.release(&st.lockNode)
 	st.writer = nil
 	for _, w := range st.waiters {
 		w.state = stateRunnable
@@ -303,12 +331,15 @@ func (s *scheduler) CondWait(c *vsync.Cond) {
 	if s.aborted.Load() {
 		return
 	}
-	t := s.currentThread()
+	t, at := s.currentThread(), s.callerSite()
 	cst := s.condStateOf(c)
 	// Atomically release the mutex and enqueue as a waiter.
 	mst := s.mutexState(c.L)
 	if mst.holder != t {
-		panic("shuttle: Cond.Wait without holding its mutex")
+		panic(fmt.Sprintf("shuttle: Cond.Wait at %s without holding its mutex, last released at %s", at, mst.released))
+	}
+	if t.release(&mst.lockNode); len(t.held) > 0 {
+		s.violate("%s waits on a Cond at %s holding a lock taken at %s besides the Cond's own", t.name, at, t.held[0].at)
 	}
 	mst.holder = nil
 	for _, w := range mst.waiters {
@@ -331,6 +362,7 @@ func (s *scheduler) CondWait(c *vsync.Cond) {
 		t.waitMutex = nil
 	}
 	mst.holder = t
+	s.acquired(t, &mst.lockNode, false, at)
 }
 
 // CondSignal implements vsync.Runtime.
@@ -406,10 +438,11 @@ func (s *scheduler) Yield() {
 
 func (s *scheduler) newThread(name string) *thread {
 	t := &thread{
-		id:     s.nextID,
-		name:   name,
-		state:  stateRunnable,
-		resume: make(chan resumeMsg, 1),
+		id:        s.nextID,
+		name:      name,
+		state:     stateRunnable,
+		resume:    make(chan resumeMsg, 1),
+		spawnedAt: s.callerSite(),
 	}
 	s.nextID++
 	s.threads = append(s.threads, t)
@@ -462,12 +495,13 @@ func (s *scheduler) wakeJoiners(t *thread) {
 // runnable again once their wake condition was satisfied (their state is
 // flipped by the waker), so this is a plain state filter.
 func (s *scheduler) runnableThreads() []*thread {
-	var out []*thread
+	out := s.runnable[:0]
 	for _, t := range s.threads {
 		if t.state == stateRunnable {
 			out = append(out, t)
 		}
 	}
+	s.runnable = out
 	return out
 }
 
@@ -492,6 +526,9 @@ func (s *scheduler) run(body func()) *Failure {
 		if len(runnable) == 0 {
 			live := s.liveThreads()
 			if len(live) == 0 {
+				if s.violation != "" {
+					return s.stop(FailLockDiscipline, s.violation, nil)
+				}
 				return s.failure // normal completion (failure set on panic)
 			}
 			names := ""
@@ -501,14 +538,10 @@ func (s *scheduler) run(body func()) *Failure {
 				}
 				names += fmt.Sprintf("%s(%s)", t.name, blockReason(t))
 			}
-			f := &Failure{Kind: FailDeadlock, Err: fmt.Sprintf("deadlock: %d threads blocked: %s", len(live), names), Trace: append([]int(nil), s.trace...)}
-			s.abort()
-			return f
+			return s.stop(FailDeadlock, fmt.Sprintf("deadlock: %d threads blocked: %s", len(live), names), nil)
 		}
 		if s.steps >= s.maxSteps {
-			f := &Failure{Kind: FailStepBound, Err: fmt.Sprintf("step bound %d exceeded (livelock?)", s.maxSteps), Trace: append([]int(nil), s.trace...)}
-			s.abort()
-			return f
+			return s.stop(FailStepBound, fmt.Sprintf("step bound %d exceeded (livelock?)", s.maxSteps), nil)
 		}
 		choice := s.strategy.Pick(s, runnable)
 		if choice < 0 || choice >= len(runnable) {
@@ -521,15 +554,26 @@ func (s *scheduler) run(body func()) *Failure {
 		t.resume <- msgRun
 		ev := <-s.events
 		s.current = nil
-		switch ev.kind {
-		case evPanic:
-			f := &Failure{Kind: FailPanic, Err: fmt.Sprintf("panic in %s: %v", t.name, ev.panicErr), Trace: append([]int(nil), s.trace...), PanicValue: ev.panicErr}
-			s.abort()
-			return f
-		case evDone, evYield:
-			// continue scheduling
+		switch {
+		case ev.kind == evPanic:
+			return s.stop(FailPanic, fmt.Sprintf("panic in %s: %v", t.name, ev.panicErr), ev.panicErr)
+		case s.halt:
+			return s.stop(FailLockDiscipline, s.violation, nil)
+		case ev.kind == evDone && len(t.held) > 0:
+			s.violate("%s (spawned at %s) finished holding a lock taken at %s", t.name, t.spawnedAt, t.held[0].at)
 		}
 	}
+}
+
+// stop ends the iteration with a failure, reporting any lock-discipline
+// violation, and aborts every thread.
+func (s *scheduler) stop(kind FailureKind, err string, panicValue any) *Failure {
+	if s.violation != "" && kind != FailLockDiscipline {
+		err += "; lock discipline: " + s.violation
+	}
+	f := &Failure{Kind: kind, Err: err, Trace: append([]int(nil), s.trace...), PanicValue: panicValue}
+	s.abort()
+	return f
 }
 
 func blockReason(t *thread) string {

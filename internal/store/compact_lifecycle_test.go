@@ -9,6 +9,7 @@ import (
 
 	"shardstore/internal/compact"
 	"shardstore/internal/obs"
+	"shardstore/internal/vsync"
 )
 
 func compactTestConfig(seed int64) Config {
@@ -136,5 +137,40 @@ func TestCleanShutdownStopsCompactionLoop(t *testing.T) {
 	}
 	if got, err := s2.Get("late"); err != nil || !bytes.Equal(got, []byte("unflushed at shutdown")) {
 		t.Fatalf("late write lost in clean shutdown: %v", err)
+	}
+}
+
+// TestMaintenanceLoopsStopWhileTicking: StopCompact and StopScrub return
+// even when their loop is mid-tick. A tick takes the store lock, so a Stop
+// that waited for the loop while still holding that lock would deadlock;
+// fifty start/stop cycles with ticks pending make the hang near-certain if
+// it can happen at all, and the watchdog turns it into a failure.
+func TestMaintenanceLoopsStopWhileTicking(t *testing.T) {
+	for _, loop := range []struct {
+		name  string
+		start func(*Store, time.Duration)
+		stop  func(*Store)
+	}{
+		{"compact", (*Store).StartCompact, (*Store).StopCompact},
+		{"scrub", (*Store).StartScrub, (*Store).StopScrub},
+	} {
+		t.Run(loop.name, func(t *testing.T) {
+			s, _ := mustOpen(t, compactTestConfig(44))
+			seedCompactionWork(t, s, 4)
+			done := make(chan struct{})
+			vsync.Go("cycler", func() {
+				defer close(done)
+				for i := 0; i < 50; i++ {
+					loop.start(s, 50*time.Microsecond)
+					time.Sleep(200 * time.Microsecond)
+					loop.stop(s)
+				}
+			})
+			select {
+			case <-done:
+			case <-time.After(20 * time.Second):
+				t.Fatalf("%s loop: Stop did not return", loop.name)
+			}
+		})
 	}
 }

@@ -25,7 +25,7 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
-echo "== shardlint ./... (soundness + flow passes: syncusage, determinism, mapiter, droppederr, lockorder, unlockpath, stagevocab, obscomplete)"
+echo "== shardlint ./... (four soundness passes: syncusage, determinism, mapiter, droppederr)"
 go run ./cmd/shardlint -v ./...
 
 echo "== shardlint waiver budget (inventory must match lint_waivers.txt exactly)"
@@ -46,6 +46,11 @@ go test ./...
 echo "== go test -C bench ./... (the benchmark's own oracles: BENCHMARK.json <-> program, determinism under one seed)"
 go test -C bench ./...
 
+echo "== lock discipline (shuttle: the scheduler's run-time lock checker, its fixtures, and the harnesses it watches)"
+go test -run 'TestLockDiscipline' -count=1 ./internal/shuttle/
+go test -run 'TestConcurrencyHarnessesCleanBaseline|TestDetectConcurrencyBugs' -count=1 ./internal/core/
+go test -run 'TestShuttleGroupCommit' -count=1 ./internal/dep/
+
 echo "== go test -race (core, coverage, vsync, scrub)"
 go test -race -timeout 600s ./internal/core/... ./internal/coverage/... ./internal/vsync/... ./internal/scrub/...
 
@@ -54,6 +59,9 @@ go test -race -timeout 300s ./internal/obs/... ./internal/rpc/...
 
 echo "== rpc v2 hammer -race (one client, 8 goroutines, depth-64 pipelines; non-v2 openers dropped and torn down)"
 go test -race -timeout 300s -run 'TestSharedClientPipelineHammer|TestOutOfOrderCompletion|TestNonV2PreambleDropped' -count=1 ./internal/rpc/
+
+echo "== rpc opcode coverage and trace vocabulary (every opcode named, dispatched, metered; stages and metric names from the obs vocabulary)"
+go test -run 'TestOpcodeCoverage|TestTraceStageVocabulary' -count=1 ./internal/rpc/
 
 echo "== rpc pipelining gate (server-side depth 1 lock-step, >= 32 shared client; >= 2.5x v2 lock-step ops/s; skipped under -race by design)"
 go test -timeout 300s -run 'TestPipelineThroughputGain' -count=1 -v ./internal/rpc/ | grep -E 'ops/s|ok  |PASS|FAIL'

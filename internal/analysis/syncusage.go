@@ -12,12 +12,11 @@ import (
 // checker's "exhaustive" claim false (§6: Loom/Shuttle are only sound when
 // every synchronization operation is instrumented).
 //
-// Any new implementation of store.KV that the conformance harness or the
-// shuttle checker will drive belongs in this set too: the harness checks
-// whatever sits behind the interface, and the soundness argument above
-// applies to the implementation, not to the interface seam. Add its package
-// path here when introducing one. See the NOTE on store.KV in
-// internal/store/kv.go.
+// Any wrapper of store.KV that the conformance harness or the shuttle
+// checker will drive belongs in this set too: the soundness argument above
+// applies to every synchronization operation behind the server's seam, the
+// wrapper's included. Add its package path here when introducing one. See
+// the NOTE on store.KV in internal/store/kv.go.
 var instrumentedPkgs = map[string]bool{
 	"internal/store":       true,
 	"internal/chunk":       true,

@@ -249,14 +249,6 @@ func (es *execState) crashRand(seed int64) *rand.Rand {
 	return es.rng
 }
 
-// kv exposes the node under test through the same narrow store.KV interface
-// the RPC server accepts. Request-plane ops (Get/Put/Delete/List) go through
-// this seam so the harness conformance-checks any KV implementation, not just
-// *store.Store; control-plane ops (flush, compaction, reclamation, scrub,
-// service transitions) stay on the concrete type because they are specific to
-// this node's internals.
-func (es *execState) kv() store.KV { return es.st }
-
 // outstanding returns the number of injected faults that have not yet fired.
 func (es *execState) outstanding() uint64 {
 	consumed := es.d.Stats().InjectedErrs - es.consumedBase
@@ -351,7 +343,7 @@ func (es *execState) implRead(key string) ([]byte, error) {
 	for attempt := 0; attempt < 4; attempt++ {
 		pending := es.outstanding() > 0
 		var v []byte
-		v, err = es.kv().Get(key)
+		v, err = es.st.Get(key)
 		if errors.Is(err, store.ErrNotFound) {
 			return nil, nil
 		}
@@ -365,11 +357,10 @@ func (es *execState) implRead(key string) ([]byte, error) {
 	return nil, err
 }
 
-// implScan adapts OrderedKV.Scan to the model check, retrying through
+// implScan adapts store.Scan to the model check, retrying through
 // transient injected faults exactly like implRead: they fire once, so an
 // error that survives the retries is conclusive.
 func (es *execState) implScan(start, end string, limit int) ([]store.ScanEntry, bool, error) {
-	okv := es.kv().(store.OrderedKV)
 	var (
 		entries []store.ScanEntry
 		more    bool
@@ -377,7 +368,7 @@ func (es *execState) implScan(start, end string, limit int) ([]store.ScanEntry, 
 	)
 	for attempt := 0; attempt < 4; attempt++ {
 		pending := es.outstanding() > 0
-		entries, more, err = okv.Scan(start, end, limit)
+		entries, more, err = es.st.Scan(start, end, limit)
 		if err == nil {
 			return entries, more, nil
 		}
@@ -436,7 +427,7 @@ func (es *execState) apply(op Op) error {
 	switch op.Kind {
 	case OpGet:
 		if !es.inService {
-			return es.expectOutOfService(func() error { _, err := es.kv().Get(op.Key); return err })
+			return es.expectOutOfService(func() error { _, err := es.st.Get(op.Key); return err })
 		}
 		got, err := es.implRead(op.Key)
 		gotErr := err != nil
@@ -450,9 +441,9 @@ func (es *execState) apply(op Op) error {
 
 	case OpPut:
 		if !es.inService {
-			return es.expectOutOfService(func() error { _, err := es.kv().Put(op.Key, op.Value); return err })
+			return es.expectOutOfService(func() error { _, err := es.st.Put(op.Key, op.Value); return err })
 		}
-		d, err := es.kv().Put(op.Key, op.Value)
+		d, err := es.st.Put(op.Key, op.Value)
 		if err != nil {
 			if benignResourceErr(err) {
 				return nil // disk full: the put did not take effect
@@ -468,9 +459,9 @@ func (es *execState) apply(op Op) error {
 
 	case OpPutDurable:
 		if !es.inService {
-			return es.expectOutOfService(func() error { _, err := es.kv().Put(op.Key, op.Value); return err })
+			return es.expectOutOfService(func() error { _, err := es.st.Put(op.Key, op.Value); return err })
 		}
-		d, err := es.kv().Put(op.Key, op.Value)
+		d, err := es.st.Put(op.Key, op.Value)
 		if err != nil {
 			if benignResourceErr(err) {
 				return nil
@@ -492,9 +483,9 @@ func (es *execState) apply(op Op) error {
 
 	case OpDelete:
 		if !es.inService {
-			return es.expectOutOfService(func() error { _, err := es.kv().Delete(op.Key); return err })
+			return es.expectOutOfService(func() error { _, err := es.st.Delete(op.Key); return err })
 		}
-		d, err := es.kv().Delete(op.Key)
+		d, err := es.st.Delete(op.Key)
 		if err != nil {
 			if ferr := es.opFailure("Delete", err); ferr != nil {
 				return ferr
@@ -509,7 +500,7 @@ func (es *execState) apply(op Op) error {
 		if !es.inService {
 			return nil
 		}
-		ids, err := es.kv().List()
+		ids, err := es.st.List()
 		if err != nil {
 			return es.opFailure("List", err)
 		}
@@ -559,13 +550,9 @@ func (es *execState) apply(op Op) error {
 		return es.opFailure("CompactStep", err)
 
 	case OpScan:
-		okv, ordered := es.kv().(store.OrderedKV)
-		if !ordered {
-			return nil // point-only backends don't owe ordered-map semantics
-		}
 		if !es.inService {
 			return es.expectOutOfService(func() error {
-				_, _, err := okv.Scan(op.Key, op.Key2, op.Extent)
+				_, _, err := es.st.Scan(op.Key, op.Key2, op.Extent)
 				return err
 			})
 		}

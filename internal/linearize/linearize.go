@@ -166,7 +166,7 @@ func FormatHistory(ops []Operation) string {
 
 // KVInput is a put/get/delete/scan call on a key-value store. Scan reads the
 // ordered range [Key, End) bounded by Limit (0 = unbounded; empty End
-// unbounded), the cursor contract of store.OrderedKV.
+// unbounded), the cursor contract of store.KV's Scan.
 type KVInput struct {
 	Op    string // "put", "get", "delete", "scan"
 	Key   string

@@ -418,8 +418,7 @@ func (c *Client) MDelete(ctx context.Context, shardIDs []string) ([]error, error
 // ascending byte order, newest value each, end "" unbounded, limit 0 letting
 // the server pick its page cap. next is the continuation token: "" means the
 // range is exhausted; otherwise pass it as the next call's start to resume
-// the cursor. Fails with ErrUnsupported when any backend lacks the
-// ordered-map capability.
+// the cursor.
 func (c *Client) Scan(ctx context.Context, start, end string, limit int) (entries []store.ScanEntry, next string, err error) {
 	p, err := c.roundTrip(ctx, &wireReq{op: opScan, key: start, end: end, limit: limit})
 	if err != nil {

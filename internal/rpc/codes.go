@@ -59,7 +59,7 @@ var (
 	ErrInternal      = errors.New("rpc: internal error")
 	ErrFrameTooLarge = errors.New("rpc: frame exceeds MaxFrame")
 	ErrShutdown      = errors.New("rpc: server shutting down")
-	ErrUnsupported   = errors.New("rpc: operation unsupported by backend")
+	ErrUnsupported   = errors.New("rpc: tracing not enabled on this node")
 )
 
 // sentinel returns the package-level sentinel for a code.

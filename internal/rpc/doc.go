@@ -62,8 +62,8 @@
 //	                  side before any byte hits the wire (ErrFrameTooLarge)
 //	6 shutdown        the server is draining; retry against another host
 //	                  (ErrShutdown)
-//	7 unsupported     the backend behind this disk does not implement the
-//	                  requested control-plane capability (ErrUnsupported)
+//	7 unsupported     tracing not enabled on this node: trace and slowlog
+//	                  on a server whose Obs has no spans (ErrUnsupported)
 //
 // Clients surface failures as *WireError and match with errors.Is against
 // the sentinel per code — never against message text, which is not part of
@@ -97,21 +97,7 @@
 // point-in-time snapshot of that backend — entries within one disk's page
 // are mutually consistent, while the cross-disk merge is only as atomic as
 // the constituent snapshots. Out-of-service disks drop out of the merge,
-// like list. If any backend lacks the ordered-map capability
-// (store.OrderedKV) the whole op fails with code 7 (unsupported): there is
-// no sound point-read fallback for an ordered range.
-//
-// # Capability probes
-//
-// The server accepts any store.KV backend; richer behavior is negotiated
-// per backend by interface probe, and every missing capability answers the
-// SAME wire code 7 / ErrUnsupported so clients need exactly one check:
-//
-//	store.OrderedKV  scan (request plane; no fallback)
-//	store.BatchKV    mget/mput/mdelete fast path (falls back to per-item
-//	                 KV calls — never unsupported)
-//	durability       flagDurable on put/mput (per-item code 7 on mput)
-//	scrubber, service control, flush, stats columns: control plane probes
+// like list.
 //
 // # Connections that do not open with the preamble
 //

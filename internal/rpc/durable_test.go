@@ -3,12 +3,10 @@ package rpc
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
-	"shardstore/internal/faults"
 	"shardstore/internal/store"
 )
 
@@ -127,44 +125,6 @@ func TestPutDurableConcurrent(t *testing.T) {
 			if err != nil || !bytes.Equal(v, []byte(key)) {
 				t.Fatalf("get %q: %q %v", key, v, err)
 			}
-		}
-	}
-}
-
-// TestPutDurableKVOnlyBackend: a backend without the durableWaiter
-// capability must answer CodeUnsupported for durable requests (and keep
-// serving plain ones) instead of silently dropping the durability wait.
-func TestPutDurableKVOnlyBackend(t *testing.T) {
-	ctx := context.Background()
-	st, _, err := store.New(store.Config{Seed: 1, Bugs: faults.NewSet()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServerKV([]store.KV{minimalKV{KV: st}})
-	addr, err := srv.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = c.Close() })
-
-	if err := c.PutDurable(ctx, "k", []byte("v")); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("durable put on kv-only backend: %v, want ErrUnsupported", err)
-	}
-	if err := c.Put(ctx, "k", []byte("v")); err != nil {
-		t.Fatalf("plain put must still work: %v", err)
-	}
-	errs, err := c.MPutDurable(ctx, []string{"a", "b"}, [][]byte{{1}, {2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range errs {
-		if !errors.Is(e, ErrUnsupported) {
-			t.Fatalf("durable mput item %d on kv-only backend: %v, want ErrUnsupported", i, e)
 		}
 	}
 }

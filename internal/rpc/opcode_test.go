@@ -1,6 +1,8 @@
 package rpc
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -74,5 +76,79 @@ func TestOpcodeCoverage(t *testing.T) {
 	}
 	if declared != int(opMax)+1 {
 		t.Errorf("proto.go declares %d opcodes, want opInvalid..opMax = %d", declared, int(opMax)+1)
+	}
+}
+
+// TestCapabilityOpcodeMatrix pins the opcode contract over the wire: every
+// opcode answers OK against store backends, plain and durable forms alike,
+// on an untraced ("full") and a traced server; trace and slowlog answer
+// CodeUnsupported only when the server's Obs carries no spans.
+func TestCapabilityOpcodeMatrix(t *testing.T) {
+	// Calls run in opcode order, so remove_disk precedes return_disk.
+	ctx := context.Background()
+	calls := [opMax + 1]func(c *Client) error{
+		opPut: func(c *Client) error {
+			if err := c.Put(ctx, "m-put", []byte("v")); err != nil {
+				return err
+			}
+			return c.PutDurable(ctx, "m-dur", []byte("v"))
+		},
+		opGet:    func(c *Client) error { _, err := c.Get(ctx, "seed"); return err },
+		opDelete: func(c *Client) error { return c.Delete(ctx, "del-seed") },
+		opList:   func(c *Client) error { _, err := c.List(ctx); return err },
+		opBulkCreate: func(c *Client) error {
+			return c.BulkCreate(ctx, []string{"b1", "b2"}, [][]byte{[]byte("1"), []byte("2")})
+		},
+		opBulkRemove:  func(c *Client) error { return c.BulkRemove(ctx, []string{"b1", "b2"}) },
+		opRemoveDisk:  func(c *Client) error { return c.RemoveDisk(ctx, 0) },
+		opReturnDisk:  func(c *Client) error { return c.ReturnDisk(ctx, 0) },
+		opFlush:       func(c *Client) error { return c.Flush(ctx, 0) },
+		opStats:       func(c *Client) error { _, err := c.Stats(ctx); return err },
+		opScrub:       func(c *Client) error { _, err := c.Scrub(ctx, 0); return err },
+		opScrubStatus: func(c *Client) error { _, err := c.ScrubStatus(ctx, 0); return err },
+		opMetrics:     func(c *Client) error { _, err := c.Metrics(ctx); return err },
+		opMGet:        func(c *Client) error { _, err := c.MGet(ctx, []string{"seed"}); return err },
+		opMPut: func(c *Client) error {
+			if err := firstItemErr(c.MPut(ctx, []string{"m-mput"}, [][]byte{[]byte("v")})); err != nil {
+				return err
+			}
+			return firstItemErr(c.MPutDurable(ctx, []string{"m-mdur"}, [][]byte{[]byte("v")}))
+		},
+		opMDelete: func(c *Client) error { return firstItemErr(c.MDelete(ctx, []string{"mdel-seed"})) },
+		opTrace:   func(c *Client) error { _, err := c.Trace(ctx); return err },
+		opSlowLog: func(c *Client) error { _, err := c.SlowLog(ctx); return err },
+		opScan:    func(c *Client) error { _, _, err := c.Scan(ctx, "", "", 0); return err },
+	}
+	_, plain := newTestServer(t, 2)
+	_, traced := newTracedServer(t, 2, 0)
+	for _, tc := range []struct {
+		name  string
+		c     *Client
+		spans bool
+	}{{"full", plain, false}, {"traced", traced, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, k := range []string{"seed", "del-seed", "mdel-seed"} {
+				if err := tc.c.Put(ctx, k, []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for op := Opcode(1); op <= opMax; op++ {
+				if calls[op] == nil {
+					t.Errorf("opcode %d (%s) has no call in the backend table", op, opName(op))
+					continue
+				}
+				err := calls[op](tc.c)
+				if !tc.spans && (op == opTrace || op == opSlowLog) {
+					var we *WireError
+					if !errors.As(err, &we) || we.Code != CodeUnsupported {
+						t.Errorf("%s: %v, want CodeUnsupported", opName(op), err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Errorf("%s: %v, want success", opName(op), err)
+				}
+			}
+		})
 	}
 }

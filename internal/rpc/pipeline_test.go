@@ -252,49 +252,3 @@ func TestMultiOps(t *testing.T) {
 		}
 	}
 }
-
-// minimalKV is a KV-only backend (no scrubber, no scheduler, no metrics):
-// the request plane must work and the control plane must answer
-// CodeUnsupported instead of panicking.
-type minimalKV struct{ store.KV }
-
-func TestKVOnlyBackend(t *testing.T) {
-	ctx := context.Background()
-	st, _, err := store.New(store.Config{Seed: 1, Bugs: faults.NewSet()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServerKV([]store.KV{minimalKV{KV: st}})
-	addr, err := srv.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = c.Close() })
-
-	if err := c.Put(ctx, "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	v, err := c.Get(ctx, "k")
-	if err != nil || !bytes.Equal(v, []byte("v")) {
-		t.Fatalf("kv-only get: %q %v", v, err)
-	}
-	if err := c.Flush(ctx, 0); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("flush on kv-only backend: %v", err)
-	}
-	if _, err := c.Scrub(ctx, 0); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("scrub on kv-only backend: %v", err)
-	}
-	if err := c.RemoveDisk(ctx, 0); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("remove_disk on kv-only backend: %v", err)
-	}
-	// Stats degrade gracefully: listing works, instrumented columns zero.
-	stats, err := c.Stats(ctx)
-	if err != nil || stats.Shards != 1 {
-		t.Fatalf("kv-only stats: %+v %v", stats, err)
-	}
-}

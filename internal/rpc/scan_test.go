@@ -8,32 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"shardstore/internal/faults"
-	"shardstore/internal/store"
 )
-
-// newKVOnlyServer serves a bare store.KV backend: no ordered-map, batch,
-// durability, scrub, or service-state capabilities.
-func newKVOnlyServer(tb testing.TB) *Client {
-	tb.Helper()
-	st, _, err := store.New(store.Config{Seed: 1, Bugs: faults.NewSet()})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	srv := NewServerKV([]store.KV{minimalKV{KV: st}})
-	addr, err := srv.Serve("127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(srv.Close)
-	c, err := Dial(addr)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { _ = c.Close() })
-	return c
-}
 
 // TestScanOverRPC: a scan merges every disk's ordered page into one sorted,
 // complete range — across memtable and flushed state, shrinking on delete.
@@ -202,24 +177,35 @@ func TestScanIteratorRefetch(t *testing.T) {
 	}
 }
 
-// TestScanUnsupportedBackend: a backend without the ordered-map capability
-// fails scans with the uniform ErrUnsupported — through both the one-page
-// call and the Iterator.
-func TestScanUnsupportedBackend(t *testing.T) {
+// TestScanIteratorServerClosed: when the server closes mid-walk, the
+// Iterator hands out the page it already holds, then Next returns false and
+// Err reports the failed fetch — the end of the walk is never mistaken for
+// the end of the range. A one-page Scan fails the same way.
+func TestScanIteratorServerClosed(t *testing.T) {
 	ctx := context.Background()
-	c := newKVOnlyServer(t)
-	if err := c.Put(ctx, "k", []byte("v")); err != nil {
-		t.Fatal(err)
+	srv, c := newTestServer(t, 2)
+	for i := 0; i < 30; i++ {
+		if err := c.Put(ctx, fmt.Sprintf("w%02d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, _, err := c.Scan(ctx, "", "", 0); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("scan on kv-only backend: %v", err)
+	it := c.Iterator(ctx, "", "", 5)
+	if !it.Next() {
+		t.Fatalf("first page: %v", it.Err())
 	}
-	it := c.Iterator(ctx, "", "", 0)
-	if it.Next() {
-		t.Fatal("iterator yielded an entry on kv-only backend")
+	srv.Close()
+	n := 1
+	for it.Next() {
+		n++
 	}
-	if err := it.Err(); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("iterator error: %v", err)
+	if n != 5 {
+		t.Fatalf("iterator yielded %d entries after the server closed, want the 5 of its buffered page", n)
+	}
+	if it.Err() == nil {
+		t.Fatal("iterator stopped with a nil Err although the range was not exhausted")
+	}
+	if _, _, err := c.Scan(ctx, "", "", 0); err == nil {
+		t.Fatal("scan on a closed server succeeded")
 	}
 }
 
@@ -236,85 +222,12 @@ func firstItemErr(errs []error, err error) error {
 	return nil
 }
 
-// TestCapabilityOpcodeMatrix pins the capability × opcode contract: every
-// opcode against a full store backend and a bare KV backend. Ops gated on a
-// missing capability (ordered-map scan, durability barrier, scrubber,
-// service control) fail with exactly CodeUnsupported — uniformly matchable
-// via errors.Is(err, ErrUnsupported) — never a panic or a misclassified
-// internal error.
-func TestCapabilityOpcodeMatrix(t *testing.T) {
+// TestBatchPerItemOutcomes drives the multi-ops with mixed present/missing
+// keys steered across disks and an oversized item, checking outcomes land at
+// the right slots and the connection outlives the oversized rejection.
+func TestBatchPerItemOutcomes(t *testing.T) {
 	ctx := context.Background()
-	_, full := newTestServer(t, 2)
-	kvOnly := newKVOnlyServer(t)
-
-	rows := []struct {
-		op         string
-		call       func(c *Client) error
-		wantKVOnly error // nil = must succeed; matrix order is load-bearing
-	}{
-		{"put", func(c *Client) error { return c.Put(ctx, "m-put", []byte("v")) }, nil},
-		{"get", func(c *Client) error { _, err := c.Get(ctx, "seed"); return err }, nil},
-		{"delete", func(c *Client) error { return c.Delete(ctx, "del-seed") }, nil},
-		{"list", func(c *Client) error { _, err := c.List(ctx); return err }, nil},
-		{"stats", func(c *Client) error { _, err := c.Stats(ctx); return err }, nil},
-		{"mget", func(c *Client) error { _, err := c.MGet(ctx, []string{"seed"}); return err }, nil},
-		{"mput", func(c *Client) error {
-			return firstItemErr(c.MPut(ctx, []string{"m-mput"}, [][]byte{[]byte("v")}))
-		}, nil},
-		{"mdelete", func(c *Client) error {
-			return firstItemErr(c.MDelete(ctx, []string{"mdel-seed"}))
-		}, nil},
-		{"scan", func(c *Client) error { _, _, err := c.Scan(ctx, "", "", 0); return err }, ErrUnsupported},
-		{"put_durable", func(c *Client) error { return c.PutDurable(ctx, "m-dur", []byte("v")) }, ErrUnsupported},
-		{"mput_durable", func(c *Client) error {
-			return firstItemErr(c.MPutDurable(ctx, []string{"m-mdur"}, [][]byte{[]byte("v")}))
-		}, ErrUnsupported},
-		{"flush", func(c *Client) error { return c.Flush(ctx, 0) }, ErrUnsupported},
-		{"scrub", func(c *Client) error { _, err := c.Scrub(ctx, 0); return err }, ErrUnsupported},
-		{"scrub_status", func(c *Client) error { _, err := c.ScrubStatus(ctx, 0); return err }, ErrUnsupported},
-		{"remove_disk", func(c *Client) error { return c.RemoveDisk(ctx, 0) }, ErrUnsupported},
-		{"return_disk", func(c *Client) error { return c.ReturnDisk(ctx, 0) }, ErrUnsupported},
-	}
-
-	for _, tc := range []struct {
-		backend string
-		c       *Client
-		want    func(i int) error
-	}{
-		{"full", full, func(int) error { return nil }},
-		{"kv-only", kvOnly, func(i int) error { return rows[i].wantKVOnly }},
-	} {
-		t.Run(tc.backend, func(t *testing.T) {
-			for _, k := range []string{"seed", "del-seed", "mdel-seed"} {
-				if err := tc.c.Put(ctx, k, []byte("v")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i, row := range rows {
-				err := row.call(tc.c)
-				switch want := tc.want(i); {
-				case want == nil && err != nil:
-					t.Errorf("%s: %v, want success", row.op, err)
-				case want != nil && !errors.Is(err, want):
-					t.Errorf("%s: %v, want %v", row.op, err, want)
-				case want != nil:
-					var we *WireError
-					if !errors.As(err, &we) || we.Code != CodeUnsupported {
-						t.Errorf("%s: code %v, want uniform CodeUnsupported", row.op, err)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestBatchPerItemOutcomesKVOnly drives the multi-ops against a backend
-// WITHOUT store.BatchKV — the server's per-item fallback loop — with mixed
-// present/missing keys and an oversized item, checking outcomes land at the
-// right slots and the connection outlives the oversized rejection.
-func TestBatchPerItemOutcomesKVOnly(t *testing.T) {
-	ctx := context.Background()
-	c := newKVOnlyServer(t)
+	_, c := newTestServer(t, 2)
 	for _, k := range []string{"a", "c"} {
 		if err := c.Put(ctx, k, []byte("v-"+k)); err != nil {
 			t.Fatal(err)

@@ -11,9 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"shardstore/internal/chunk"
 	"shardstore/internal/dep"
-	"shardstore/internal/disk"
 	"shardstore/internal/obs"
 	"shardstore/internal/scrub"
 	"shardstore/internal/store"
@@ -53,43 +51,6 @@ type Stats struct {
 	ScrubLost     []int    `json:"scrub_lost"` // shards per disk with a standing loss verdict
 }
 
-// Optional control-plane capabilities a store.KV backend may implement.
-// *store.Store implements all of them; a backend that lacks one answers the
-// corresponding op with CodeUnsupported instead of forcing every future
-// backend to fake a scrubber or an IO scheduler. The request-plane
-// capabilities (store.BatchKV for the multi-ops' batched fast path,
-// store.OrderedKV for scan) are probed the same way: a missing capability
-// either falls back (batch → per-item calls) or answers CodeUnsupported
-// (scan — there is no sound point-read fallback for an ordered range).
-type (
-	flusher         interface{ Pump() error }
-	serviceRemover  interface{ RemoveFromService() error }
-	serviceReturner interface {
-		ReturnToService() (*store.Store, error)
-	}
-	scrubBackend interface {
-		ScrubRound() (scrub.Result, error)
-		Scrubber() *scrub.Scrubber
-	}
-	meteredBackend interface {
-		Obs() *obs.Obs
-		Disk() *disk.Disk
-	}
-	// durableWaiter backs the flagDurable request plane: WaitDurable blocks
-	// until d is persistent, enrolling in the backend's group-commit
-	// barrier (one device flush amortized over all concurrent waiters).
-	durableWaiter interface {
-		WaitDurable(d *dep.Dependency) error
-	}
-	// tracedDurableWaiter lets a traced request's span follow the wait into
-	// the barrier (follower wait vs leader sync stages). Backends without it
-	// still serve traced requests; the barrier just stays unattributed.
-	tracedDurableWaiter interface {
-		WaitDurableTraced(d *dep.Dependency, sp *obs.Span) error
-	}
-	chunkStatsBackend interface{ Chunks() *chunk.Store }
-)
-
 // TraceDump is the payload of the trace and slowlog ops: the server-side
 // tracer's retained request traces, oldest-first, plus how many earlier
 // traces the ring overwrote.
@@ -98,17 +59,6 @@ type TraceDump struct {
 	Truncated uint64         `json:"truncated,omitempty"`
 	// Threshold is the slow-log gate in server clock units (slowlog only).
 	Threshold uint64 `json:"threshold,omitempty"`
-}
-
-// waitDurableTraced routes a durability wait through the backend's traced
-// variant when the request carries a span and the backend offers one.
-func waitDurableTraced(dw durableWaiter, d *dep.Dependency, sp *obs.Span) error {
-	if sp != nil {
-		if tw, ok := dw.(tracedDurableWaiter); ok {
-			return tw.WaitDurableTraced(d, sp)
-		}
-	}
-	return dw.WaitDurable(d)
 }
 
 // Server hosts one KV backend per disk behind a shared listener, speaking
@@ -148,9 +98,7 @@ func NewServer(stores []*store.Store, o ...*obs.Obs) *Server {
 	return NewServerKV(kvs, o...)
 }
 
-// NewServerKV wraps arbitrary per-disk KV backends (the multi-backend
-// seam). Backends that also implement the optional capability interfaces
-// get the full control plane; the rest serve the request plane only.
+// NewServerKV wraps per-disk KV backends: stores, or wrappers around them.
 func NewServerKV(kvs []store.KV, o ...*obs.Obs) *Server {
 	var so *obs.Obs
 	if len(o) > 0 && o[0] != nil {
@@ -517,11 +465,7 @@ func (s *Server) dispatchInner(q *wireReq, sp *obs.Span) *wireResp {
 			return errResp(err)
 		}
 		if q.durable {
-			dw, ok := kv.(durableWaiter)
-			if !ok {
-				return respErr(CodeUnsupported, "backend cannot wait for durability")
-			}
-			if err := waitDurableTraced(dw, d, sp); err != nil {
+			if err := kv.WaitDurableTraced(d, sp); err != nil {
 				return errResp(err)
 			}
 		}
@@ -597,49 +541,29 @@ func (s *Server) dispatchInner(q *wireReq, sp *obs.Span) *wireResp {
 	case opMDelete:
 		return s.mMutate(q.keys, nil, false, false, nil)
 	case opRemoveDisk:
-		sr, ok := kv.(serviceRemover)
-		if !ok {
-			return respErr(CodeUnsupported, "backend cannot remove_disk")
-		}
-		if err := sr.RemoveFromService(); err != nil {
+		if err := kv.RemoveFromService(); err != nil {
 			return errResp(err)
 		}
 		return &wireResp{code: CodeOK}
 	case opReturnDisk:
-		sr, ok := kv.(serviceReturner)
-		if !ok {
-			return respErr(CodeUnsupported, "backend cannot return_disk")
-		}
-		ns, err := sr.ReturnToService()
+		ns, err := kv.ReturnToService()
 		if err != nil {
 			return errResp(err)
 		}
 		s.replaceKV(idx, ns)
 		return &wireResp{code: CodeOK}
 	case opFlush:
-		fl, ok := kv.(flusher)
-		if !ok {
-			return respErr(CodeUnsupported, "backend cannot flush")
-		}
-		if err := fl.Pump(); err != nil {
+		if err := kv.Pump(); err != nil {
 			return errResp(err)
 		}
 		return &wireResp{code: CodeOK}
 	case opScrub:
-		sb, ok := kv.(scrubBackend)
-		if !ok {
-			return respErr(CodeUnsupported, "backend cannot scrub")
-		}
-		if _, err := sb.ScrubRound(); err != nil {
+		if _, err := kv.ScrubRound(); err != nil {
 			return errResp(err)
 		}
-		return &wireResp{code: CodeOK, scrub: scrubStatus(sb)}
+		return &wireResp{code: CodeOK, scrub: scrubStatus(kv.Scrubber())}
 	case opScrubStatus:
-		sb, ok := kv.(scrubBackend)
-		if !ok {
-			return respErr(CodeUnsupported, "backend cannot scrub_status")
-		}
-		return &wireResp{code: CodeOK, scrub: scrubStatus(sb)}
+		return &wireResp{code: CodeOK, scrub: scrubStatus(kv.Scrubber())}
 	case opStats:
 		return &wireResp{code: CodeOK, stats: s.stats()}
 	case opMetrics:
@@ -678,9 +602,7 @@ const (
 // merge is a sort). A backend that truncated its page caps the completeness
 // horizon at its last key — beyond it, that backend may hold unreturned
 // in-range shards, so entries past the horizon are withheld and the client
-// resumes via the continuation token. Any backend lacking the ordered-map
-// capability fails the whole op with the uniform CodeUnsupported: there is
-// no sound point-read fallback for a range.
+// resumes via the continuation token.
 func (s *Server) scan(q *wireReq) *wireResp {
 	s.mu.Lock()
 	kvs := append([]store.KV(nil), s.kvs...)
@@ -696,11 +618,7 @@ func (s *Server) scan(q *wireReq) *wireResp {
 	var merged []store.ScanEntry
 	anyMore := false
 	for _, kv := range kvs {
-		okv, ok := kv.(store.OrderedKV)
-		if !ok {
-			return respErr(CodeUnsupported, "backend cannot scan")
-		}
-		entries, more, err := okv.Scan(q.key, q.end, effLimit)
+		entries, more, err := kv.Scan(q.key, q.end, effLimit)
 		if err != nil {
 			if errors.Is(err, store.ErrOutOfService) {
 				continue // like list: out-of-service disks drop out
@@ -751,8 +669,7 @@ func (s *Server) scan(q *wireReq) *wireResp {
 	return p
 }
 
-// mGet steers each key independently, using the backend's batch entry point
-// per disk when available so a whole per-disk group shares one pass.
+// mGet steers each key independently; each per-disk group is one GetBatch.
 func (s *Server) mGet(keys []string) *wireResp {
 	p := &wireResp{
 		code:      CodeOK,
@@ -760,26 +677,15 @@ func (s *Server) mGet(keys []string) *wireResp {
 		values:    make([][]byte, len(keys)),
 	}
 	for disk, idxs := range s.groupBySteer(keys) {
-		kv := disk.kv
-		if bkv, ok := kv.(store.BatchKV); ok {
-			ids := make([]string, len(idxs))
-			for j, i := range idxs {
-				ids[j] = keys[i]
-			}
-			vals, errs := bkv.GetBatch(ids)
-			for j, i := range idxs {
-				p.itemCodes[i] = codeFor(errs[j])
-				if errs[j] == nil {
-					p.values[i] = vals[j]
-				}
-			}
-			continue
+		ids := make([]string, len(idxs))
+		for j, i := range idxs {
+			ids[j] = keys[i]
 		}
-		for _, i := range idxs {
-			v, err := kv.Get(keys[i])
-			p.itemCodes[i] = codeFor(err)
-			if err == nil {
-				p.values[i] = v
+		vals, errs := disk.kv.GetBatch(ids)
+		for j, i := range idxs {
+			p.itemCodes[i] = codeFor(errs[j])
+			if errs[j] == nil {
+				p.values[i] = vals[j]
 			}
 		}
 	}
@@ -795,35 +701,22 @@ func (s *Server) mMutate(keys []string, values [][]byte, put bool, durable bool,
 			mMutateDurableGroup(kv, keys, values, idxs, p, sp)
 			continue
 		}
-		bkv, batched := kv.(store.BatchKV)
-		if batched {
-			ids := make([]string, len(idxs))
-			vals := make([][]byte, len(idxs))
-			for j, i := range idxs {
-				ids[j] = keys[i]
-				if put {
-					vals[j] = values[i]
-				}
-			}
-			var errs []error
+		ids := make([]string, len(idxs))
+		vals := make([][]byte, len(idxs))
+		for j, i := range idxs {
+			ids[j] = keys[i]
 			if put {
-				errs = bkv.PutBatch(ids, vals)
-			} else {
-				errs = bkv.DeleteBatch(ids)
+				vals[j] = values[i]
 			}
-			for j, i := range idxs {
-				p.itemCodes[i] = codeFor(errs[j])
-			}
-			continue
 		}
-		for _, i := range idxs {
-			var err error
-			if put {
-				_, err = kv.Put(keys[i], values[i])
-			} else {
-				_, err = kv.Delete(keys[i])
-			}
-			p.itemCodes[i] = codeFor(err)
+		var errs []error
+		if put {
+			errs = kv.PutBatch(ids, vals)
+		} else {
+			errs = kv.DeleteBatch(ids)
+		}
+		for j, i := range idxs {
+			p.itemCodes[i] = codeFor(errs[j])
 		}
 	}
 	return p
@@ -835,13 +728,6 @@ func (s *Server) mMutate(keys []string, values [][]byte, put bool, durable bool,
 // size. Item outcomes land at fixed indices of p.itemCodes, so the caller's
 // map-iteration order over groups never becomes observable.
 func mMutateDurableGroup(kv store.KV, keys []string, values [][]byte, idxs []int, p *wireResp, sp *obs.Span) {
-	dw, ok := kv.(durableWaiter)
-	if !ok {
-		for _, i := range idxs {
-			p.itemCodes[i] = CodeUnsupported
-		}
-		return
-	}
 	deps := make([]*dep.Dependency, 0, len(idxs))
 	okIdx := make([]int, 0, len(idxs))
 	for _, i := range idxs {
@@ -853,7 +739,7 @@ func mMutateDurableGroup(kv store.KV, keys []string, values [][]byte, idxs []int
 		}
 	}
 	if len(deps) > 0 {
-		if err := waitDurableTraced(dw, dep.All(deps...), sp); err != nil {
+		if err := kv.WaitDurableTraced(dep.All(deps...), sp); err != nil {
 			for _, i := range okIdx {
 				p.itemCodes[i] = codeFor(err)
 			}
@@ -906,15 +792,12 @@ func snapshotDisk(kv store.KV) diskStats {
 	ids, err := kv.List()
 	d.ids = ids
 	d.inService = !errors.Is(err, store.ErrOutOfService)
-	if cb, ok := kv.(chunkStatsBackend); ok {
-		cs := cb.Chunks().Stats()
-		d.chunks.puts, d.chunks.reclaims, d.chunks.gets = cs.Puts, cs.Reclaims, cs.Gets
-	}
-	if sb, ok := kv.(scrubBackend); ok {
-		ss := sb.Scrubber().Stats()
-		d.scrub.rounds, d.scrub.repaired = ss.Rounds, ss.Repaired
-		d.scrub.lost = len(sb.Scrubber().LostKeys())
-	}
+	cs := kv.Chunks().Stats()
+	d.chunks.puts, d.chunks.reclaims, d.chunks.gets = cs.Puts, cs.Reclaims, cs.Gets
+	sc := kv.Scrubber()
+	ss := sc.Stats()
+	d.scrub.rounds, d.scrub.repaired = ss.Rounds, ss.Repaired
+	d.scrub.lost = len(sc.LostKeys())
 	return d
 }
 
@@ -944,8 +827,7 @@ func (s *Server) stats() *Stats {
 	return out
 }
 
-// metrics folds the server's own registry and every metered backend's
-// registry into one host-wide snapshot: counters and gauges add, histograms
+// metrics folds the server's own registry and every backend's registry into one host-wide snapshot: counters and gauges add, histograms
 // merge bucket-wise (merge order does not matter — see the associativity
 // property test in internal/obs). Backends sharing one registry are folded
 // once.
@@ -956,11 +838,7 @@ func (s *Server) metrics() *obs.Snapshot {
 	merged := s.obs.Snapshot()
 	seen := map[*obs.Obs]bool{s.obs: true}
 	for _, kv := range kvs {
-		mb, ok := kv.(meteredBackend)
-		if !ok {
-			continue
-		}
-		for _, o := range []*obs.Obs{mb.Obs(), mb.Disk().Obs()} {
+		for _, o := range []*obs.Obs{kv.Obs(), kv.Disk().Obs()} {
 			if o == nil || seen[o] {
 				continue
 			}
@@ -972,8 +850,7 @@ func (s *Server) metrics() *obs.Snapshot {
 }
 
 // scrubStatus snapshots one backend's scrubber state for the wire.
-func scrubStatus(sb scrubBackend) *ScrubStatus {
-	sc := sb.Scrubber()
+func scrubStatus(sc *scrub.Scrubber) *ScrubStatus {
 	ss := sc.Stats()
 	return &ScrubStatus{
 		Rounds:         ss.Rounds,

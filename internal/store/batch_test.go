@@ -81,11 +81,10 @@ func TestBatchPerItemErrors(t *testing.T) {
 }
 
 // TestBatchCoverageAndInterfaces: the batch entry points are coverage-visible
-// and Store satisfies both narrow interfaces the RPC server consumes.
+// and Store satisfies the KV interface the RPC server consumes.
 func TestBatchCoverageAndInterfaces(t *testing.T) {
 	st := newBatchStore(t)
 	var _ KV = st
-	var _ BatchKV = st
 	st.PutBatch([]string{"c"}, [][]byte{{1}})
 	st.GetBatch([]string{"c"})
 	st.DeleteBatch([]string{"c"})

@@ -6,7 +6,7 @@ import (
 	"shardstore/internal/obs"
 )
 
-// Scan implements OrderedKV: the live shards in [start, end) in ascending
+// Scan implements KV.Scan: the live shards in [start, end) in ascending
 // key order, newest value per shard, bounded by limit. The index scan is
 // snapshot-consistent (pinned by the LSM manifest generation); each entry's
 // chunks are then read and owner-validated exactly like Get, with the same

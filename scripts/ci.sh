@@ -97,6 +97,6 @@ go test -race -timeout 300s -run 'TestCompactionForegroundRaceHammer' -count=1 .
 echo "== scan conformance gate (ordered-map lockstep, page prefixes, detection + honesty, RPC cursor walk)"
 go test -run 'TestScanLockstepRandomOps|TestScanCursorWalk|TestScanLimitsArePrefixes|TestScanPageCostIndependentOfTreeSize|TestScanTornLevelSwapFault|TestScanFaultPathDeadWhenDisarmed' -count=1 ./internal/lsm/
 go test -run 'TestScanConformanceSmoke|TestScanTornLevelSwapDetected|TestScanVerdictHonesty' -count=1 ./internal/core/
-go test -run 'TestScanOverRPC|TestScanContinuationToken|TestScanIteratorRefetch|TestScanUnsupportedBackend|TestCapabilityOpcodeMatrix' -count=1 ./internal/rpc/
+go test -run 'TestScanOverRPC|TestScanContinuationToken|TestScanIteratorRefetch|TestScanIteratorServerClosed|TestCapabilityOpcodeMatrix|TestBatchPerItemOutcomes' -count=1 ./internal/rpc/
 
 echo "CI PASS"

@@ -159,7 +159,7 @@ func BenchmarkSoftUpdatesVsWAL(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sched := dep.NewScheduler(d, nil)
+		sched := dep.NewScheduler(d, dep.Options{})
 		journalExt, homeExt := disk.ExtentID(0), disk.ExtentID(1)
 		cap := 64 * 4096
 		jOff, hOff := 0, 0

@@ -13,7 +13,6 @@ package buffercache
 import (
 	"fmt"
 
-	"shardstore/internal/coverage"
 	"shardstore/internal/disk"
 	"shardstore/internal/obs"
 	"shardstore/internal/vsync"
@@ -57,7 +56,6 @@ type entry struct {
 // concurrent use and model-checkable.
 type Cache struct {
 	mu       vsync.Mutex
-	cov      *coverage.Registry
 	obs      *obs.Obs
 	met      cacheMetrics
 	capacity int
@@ -69,12 +67,11 @@ type Cache struct {
 // New creates a cache holding up to capacity chunks. Capacity 0 disables
 // caching entirely (every lookup misses). A nil o gives the cache a private
 // registry so Stats keeps working standalone.
-func New(capacity int, cov *coverage.Registry, o *obs.Obs) *Cache {
+func New(capacity int, o *obs.Obs) *Cache {
 	if o == nil {
 		o = obs.New(nil)
 	}
 	return &Cache{
-		cov:      cov,
 		obs:      o,
 		capacity: capacity,
 		entries:  make(map[Key]*entry),
@@ -98,11 +95,11 @@ func (c *Cache) Get(k Key) ([]byte, string) {
 	e, ok := c.entries[k]
 	if !ok {
 		c.met.misses.Inc()
-		c.cov.Hit("cache.miss")
+		c.obs.Hit("cache.miss")
 		return nil, ""
 	}
 	c.met.hits.Inc()
-	c.cov.Hit("cache.hit")
+	c.obs.Hit("cache.hit")
 	c.moveToFrontLocked(e)
 	return e.data, e.ownerKey
 }
@@ -131,7 +128,7 @@ func (c *Cache) Insert(k Key, ownerKey string, data []byte) {
 		c.removeLocked(lru)
 		delete(c.entries, lru.key)
 		c.met.evictions.Inc()
-		c.cov.Hit("cache.evict")
+		c.obs.Hit("cache.evict")
 	}
 	c.met.entries.Set(int64(len(c.entries)))
 }
@@ -154,7 +151,7 @@ func (c *Cache) DrainExtent(ext disk.ExtentID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.met.drains.Inc()
-	c.cov.Hit("cache.drain")
+	c.obs.Hit("cache.drain")
 	for k, e := range c.entries {
 		if k.Extent == ext {
 			c.removeLocked(e)

@@ -6,7 +6,7 @@ import (
 )
 
 func TestInsertGet(t *testing.T) {
-	c := New(4, nil, nil)
+	c := New(4, nil)
 	k := Key{Extent: 1, Offset: 128}
 	c.Insert(k, "owner", []byte("data"))
 	got, owner := c.Get(k)
@@ -19,7 +19,7 @@ func TestInsertGet(t *testing.T) {
 }
 
 func TestInsertCopiesData(t *testing.T) {
-	c := New(4, nil, nil)
+	c := New(4, nil)
 	data := []byte{1, 2, 3}
 	c.Insert(Key{}, "k", data)
 	data[0] = 99
@@ -30,7 +30,7 @@ func TestInsertCopiesData(t *testing.T) {
 }
 
 func TestOverwriteUpdatesEntry(t *testing.T) {
-	c := New(4, nil, nil)
+	c := New(4, nil)
 	k := Key{Extent: 1}
 	c.Insert(k, "a", []byte{1})
 	c.Insert(k, "b", []byte{2})
@@ -44,7 +44,7 @@ func TestOverwriteUpdatesEntry(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New(2, nil, nil)
+	c := New(2, nil)
 	c.Insert(Key{Extent: 1}, "1", []byte{1})
 	c.Insert(Key{Extent: 2}, "2", []byte{2})
 	c.Get(Key{Extent: 1}) // touch 1: 2 becomes LRU
@@ -61,7 +61,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestZeroCapacityDisablesCaching(t *testing.T) {
-	c := New(0, nil, nil)
+	c := New(0, nil)
 	c.Insert(Key{}, "k", []byte{1})
 	if v, _ := c.Get(Key{}); v != nil {
 		t.Fatal("zero-capacity cache stored data")
@@ -69,7 +69,7 @@ func TestZeroCapacityDisablesCaching(t *testing.T) {
 }
 
 func TestDrainExtent(t *testing.T) {
-	c := New(8, nil, nil)
+	c := New(8, nil)
 	c.Insert(Key{Extent: 1, Offset: 0}, "a", []byte{1})
 	c.Insert(Key{Extent: 1, Offset: 128}, "b", []byte{2})
 	c.Insert(Key{Extent: 2, Offset: 0}, "c", []byte{3})
@@ -86,7 +86,7 @@ func TestDrainExtent(t *testing.T) {
 }
 
 func TestInvalidate(t *testing.T) {
-	c := New(8, nil, nil)
+	c := New(8, nil)
 	c.Insert(Key{Extent: 1}, "a", []byte{1})
 	c.Invalidate(Key{Extent: 1})
 	c.Invalidate(Key{Extent: 5}) // absent: no-op
@@ -96,7 +96,7 @@ func TestInvalidate(t *testing.T) {
 }
 
 func TestDrainAll(t *testing.T) {
-	c := New(8, nil, nil)
+	c := New(8, nil)
 	for i := 0; i < 5; i++ {
 		c.Insert(Key{Extent: 1, Offset: i * 10}, "k", []byte{byte(i)})
 	}
@@ -112,7 +112,7 @@ func TestDrainAll(t *testing.T) {
 }
 
 func TestStatsCounting(t *testing.T) {
-	c := New(2, nil, nil)
+	c := New(2, nil)
 	c.Insert(Key{Extent: 1}, "a", []byte{1})
 	c.Get(Key{Extent: 1})
 	c.Get(Key{Extent: 2})
@@ -124,7 +124,7 @@ func TestStatsCounting(t *testing.T) {
 
 func TestEvictionChurn(t *testing.T) {
 	// Exercise the intrusive list under heavy churn; detects broken links.
-	c := New(8, nil, nil)
+	c := New(8, nil)
 	for i := 0; i < 1000; i++ {
 		c.Insert(Key{Extent: 1, Offset: i % 24}, "k", []byte{byte(i)})
 		if i%3 == 0 {

@@ -164,12 +164,12 @@ func newSeededEnv(t *testing.T, bugs *faults.Set, seed int64, uuidZeroBias float
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := dep.NewScheduler(d, nil)
-	em, err := extent.NewManager(sched, extent.Config{}, nil, bugs)
+	sched := dep.NewScheduler(d, dep.Options{})
+	em, err := extent.NewManager(sched, extent.Config{}, bugs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := NewStore(em, Config{CacheCapacity: 8, UUIDZeroBias: uuidZeroBias}, seed, nil, bugs)
+	cs := NewStore(em, Config{CacheCapacity: 8, UUIDZeroBias: uuidZeroBias}, seed, bugs)
 	res := &mapResolver{live: make(map[Locator]string)}
 	cs.RegisterResolver(TagData, res)
 	cs.RegisterResolver(TagIndexRun, res)
@@ -596,14 +596,14 @@ func TestReseedAllocatesNothing(t *testing.T) {
 
 func TestUUIDZeroBias(t *testing.T) {
 	d, _ := disk.New(disk.DefaultConfig())
-	sched := dep.NewScheduler(d, nil)
-	em, _ := extent.NewManager(sched, extent.Config{}, nil, nil)
-	cs := NewStore(em, Config{UUIDZeroBias: 1.0}, 1, nil, nil)
+	sched := dep.NewScheduler(d, dep.Options{})
+	em, _ := extent.NewManager(sched, extent.Config{}, nil)
+	cs := NewStore(em, Config{UUIDZeroBias: 1.0}, 1, nil)
 	u := cs.newUUID()
 	if u != (UUID{}) {
 		t.Fatalf("full bias should produce zero uuid: %v", u)
 	}
-	cs2 := NewStore(em, Config{UUIDZeroBias: 0}, 1, nil, nil)
+	cs2 := NewStore(em, Config{UUIDZeroBias: 0}, 1, nil)
 	zero := 0
 	for i := 0; i < 32; i++ {
 		if cs2.newUUID() == (UUID{}) {
@@ -644,8 +644,8 @@ func TestReclaimSurvivesCrashOrdering(t *testing.T) {
 		}
 	}
 	buf := make([]byte, newLoc.Length)
-	s2 := dep.NewScheduler(env.sched.Disk(), nil)
-	m2, err := extent.Recover(s2, extent.Config{}, nil, nil)
+	s2 := dep.NewScheduler(env.sched.Disk(), dep.Options{})
+	m2, err := extent.Recover(s2, extent.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

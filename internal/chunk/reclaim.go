@@ -100,11 +100,11 @@ func (s *Store) Reclaim(victim disk.ExtentID) error {
 				// was treated as a corrupt region rather than aborting, so
 				// any live chunk on this page was forgotten and destroyed by
 				// the subsequent extent reset.
-				s.cov.Hit("chunk.bug5.error_as_garbage")
+				s.obs.Hit("chunk.bug5.error_as_garbage")
 				unreadable[off/ps] = true
 				continue
 			}
-			s.cov.Hit("chunk.reclaim.abort_ioerror")
+			s.obs.Hit("chunk.reclaim.abort_ioerror")
 			return finish(fmt.Errorf("%w: scan read: %v", ErrAborted, err))
 		}
 	}
@@ -123,10 +123,10 @@ func (s *Store) Reclaim(victim disk.ExtentID) error {
 		}
 		if !resolver.ChunkLive(c.key, c.loc) {
 			s.met.garbageDropped.Inc()
-			s.cov.Hit("chunk.reclaim.garbage")
+			s.obs.Hit("chunk.reclaim.garbage")
 			if c.tag == TagIndexRun {
-				s.cov.Hit("chunk.reclaim.garbage_run")
-				s.cov.Hit("chunk.reclaim.garbage_run@" + c.loc.String())
+				s.obs.Hit("chunk.reclaim.garbage_run")
+				s.obs.Hit("chunk.reclaim.garbage_run@" + c.loc.String())
 				if TestHookGarbageRun != nil {
 					TestHookGarbageRun(c.loc)
 				}
@@ -145,12 +145,12 @@ func (s *Store) Reclaim(victim disk.ExtentID) error {
 		if !relocated {
 			// Reference changed concurrently; the evacuated copy is garbage
 			// and a future reclamation of its extent will drop it.
-			s.cov.Hit("chunk.reclaim.relocate_lost_race")
+			s.obs.Hit("chunk.reclaim.relocate_lost_race")
 			continue
 		}
 		s.met.evacuated.Inc()
 		s.met.bytesEvacuated.Add(uint64(len(c.payload)))
-		s.cov.Hit("chunk.reclaim.evacuated")
+		s.obs.Hit("chunk.reclaim.evacuated")
 		resetWaits = append(resetWaits, dep.All(newDep, rdep))
 		// Invalidate the old location so stale cached data cannot outlive
 		// the reset.
@@ -209,7 +209,7 @@ func (s *Store) Reclaim(victim disk.ExtentID) error {
 	if s.bugs.Enabled(faults.Bug2CacheNotDrained) {
 		// Seeded bug #2: the buffer cache was not drained after the reset,
 		// so recycled locators could serve the previous chunk's data.
-		s.cov.Hit("chunk.bug2.skip_drain")
+		s.obs.Hit("chunk.bug2.skip_drain")
 	} else {
 		s.cache.DrainExtent(victim)
 	}
@@ -217,7 +217,7 @@ func (s *Store) Reclaim(victim disk.ExtentID) error {
 	s.clearQuarantineLocked(victim)
 	s.mu.Unlock()
 	s.met.extentsRecycled.Inc()
-	s.cov.Hit("chunk.reclaim.reset")
+	s.obs.Hit("chunk.reclaim.reset")
 	return finish(nil)
 }
 
@@ -237,7 +237,7 @@ func (s *Store) scanForFrames(buf []byte, ptr, ps int, unreadable map[int]bool, 
 		}
 		flen := h.FrameLen()
 		if off+flen > ptr {
-			s.cov.Hit("chunk.scan.overlong_frame")
+			s.obs.Hit("chunk.scan.overlong_frame")
 			continue
 		}
 		var key string
@@ -245,14 +245,14 @@ func (s *Store) scanForFrames(buf []byte, ptr, ps int, unreadable map[int]bool, 
 		if bug10 {
 			key, payload, err = decodeFrameLax(buf[off:off+flen], h, off, ps)
 			if err == nil {
-				s.cov.Hit("chunk.bug10.lax_accept")
+				s.obs.Hit("chunk.bug10.lax_accept")
 			}
 		} else {
 			_, key, payload, err = DecodeFrame(buf[off : off+flen])
 		}
 		if err != nil {
 			s.met.corruptSkipped.Inc()
-			s.cov.Hit("chunk.scan.corrupt_skipped")
+			s.obs.Hit("chunk.scan.corrupt_skipped")
 			continue
 		}
 		cands = append(cands, candidate{
@@ -268,7 +268,7 @@ func (s *Store) scanForFrames(buf []byte, ptr, ps int, unreadable map[int]bool, 
 			// frame ends exactly on a page boundary, silently skipping (and
 			// thus destroying) the chunk that starts there.
 			p += flen / ps
-			s.cov.Hit("chunk.bug1.length_skip")
+			s.obs.Hit("chunk.bug1.length_skip")
 		} else if bug10 {
 			// The buggy scan also trusted the accepted frame's length and
 			// skipped past it ("reclamation does not expect overlapping

@@ -12,7 +12,6 @@ import (
 	"math/rand"
 
 	"shardstore/internal/buffercache"
-	"shardstore/internal/coverage"
 	"shardstore/internal/dep"
 	"shardstore/internal/disk"
 	"shardstore/internal/extent"
@@ -68,10 +67,6 @@ type Resolver interface {
 
 // Config tunes the chunk store.
 type Config struct {
-	// UUIDGen supplies per-chunk UUIDs. Defaults to the store's seeded RNG.
-	// Harnesses inject biased generators (§4.2 argument bias) to make the
-	// §5 UUID-collision scenario reachable.
-	UUIDGen func() UUID
 	// UUIDZeroBias is the probability that a generated UUID is all zeros —
 	// the §4.2-style corner-case bias that makes the §5 stale-byte collision
 	// (bug #10) reachable by testing: zero UUIDs collide with never-written
@@ -81,9 +76,9 @@ type Config struct {
 	// a cache so large that tests never reached the miss path — is
 	// reproduced by tuning this.
 	CacheCapacity int
-	// Obs is the observability registry for metrics and tracing. Nil gives
-	// the store (and its buffer cache) a private registry so Stats keeps
-	// working standalone.
+	// Obs is the observability registry for metrics, coverage probes and
+	// tracing. Nil gives the store (and its buffer cache) a private registry
+	// so Stats keeps working standalone.
 	Obs *obs.Obs
 }
 
@@ -145,7 +140,6 @@ func newChunkMetrics(o *obs.Obs) chunkMetrics {
 type Store struct {
 	mu   vsync.Mutex
 	em   *extent.Manager
-	cov  *coverage.Registry
 	bugs *faults.Set
 	cfg  Config
 	obs  *obs.Obs
@@ -176,19 +170,18 @@ type Store struct {
 
 // NewStore creates a chunk store over em. seed drives internal randomness
 // (UUID generation, victim selection) deterministically.
-func NewStore(em *extent.Manager, cfg Config, seed int64, cov *coverage.Registry, bugs *faults.Set) *Store {
+func NewStore(em *extent.Manager, cfg Config, seed int64, bugs *faults.Set) *Store {
 	o := cfg.Obs
 	if o == nil {
 		o = obs.New(nil)
 	}
 	s := &Store{
 		em:          em,
-		cov:         cov,
 		bugs:        bugs,
 		cfg:         cfg,
 		obs:         o,
 		met:         newChunkMetrics(o),
-		cache:       buffercache.New(cfg.CacheCapacity, cov, o),
+		cache:       buffercache.New(cfg.CacheCapacity, o),
 		seed:        seed,
 		active:      -1,
 		pins:        make(map[disk.ExtentID]int),
@@ -241,9 +234,6 @@ func (s *Store) Obs() *obs.Obs { return s.obs }
 func (s *Store) Cache() *buffercache.Cache { return s.cache }
 
 func (s *Store) newUUID() UUID {
-	if s.cfg.UUIDGen != nil {
-		return s.cfg.UUIDGen()
-	}
 	// The rng is shared mutable state: put() calls newUUID before taking the
 	// store lock, and concurrent puts to the same disk (the rpc server's
 	// pipelined dispatch) would otherwise race on it — as would Reseed.
@@ -309,7 +299,7 @@ func (s *Store) ensureSpaceLocked(need int, critical bool, avoid map[disk.Extent
 			}
 		}
 		if writable <= 1 {
-			s.cov.Hit("chunk.headroom_refused")
+			s.obs.Hit("chunk.headroom_refused")
 			return 0, fmt.Errorf("%w: last writable extent reserved for reclamation", extent.ErrNoFreeExtent)
 		}
 	}
@@ -323,7 +313,7 @@ func (s *Store) ensureSpaceLocked(need int, critical bool, avoid map[disk.Extent
 	for _, ext := range s.em.OwnedExtents(extent.OwnerData) {
 		if usable(ext) {
 			s.active = int(ext)
-			s.cov.Hit("chunk.active_switch")
+			s.obs.Hit("chunk.active_switch")
 			return ext, nil
 		}
 	}
@@ -332,7 +322,7 @@ func (s *Store) ensureSpaceLocked(need int, critical bool, avoid map[disk.Extent
 		return 0, err
 	}
 	s.active = int(ext)
-	s.cov.Hit("chunk.allocate_extent")
+	s.obs.Hit("chunk.allocate_extent")
 	return ext, nil
 }
 
@@ -463,7 +453,7 @@ func (s *Store) getWithKey(loc Locator) ([]byte, string, error) {
 	s.mu.Lock()
 	if s.quarantined[loc] {
 		s.mu.Unlock()
-		s.cov.Hit("chunk.get.quarantined")
+		s.obs.Hit("chunk.get.quarantined")
 		return nil, "", fmt.Errorf("%w: %v", ErrQuarantined, loc)
 	}
 	s.mu.Unlock()
@@ -477,7 +467,7 @@ func (s *Store) getWithKey(loc Locator) ([]byte, string, error) {
 	}
 	_, key, payload, err := DecodeFrame(buf)
 	if err != nil {
-		s.cov.Hit("chunk.get.corrupt")
+		s.obs.Hit("chunk.get.corrupt")
 		return nil, "", fmt.Errorf("chunk: decode %v: %w", loc, err)
 	}
 	s.cache.Insert(loc.cacheKey(), key, payload)
@@ -503,7 +493,7 @@ func (s *Store) Quarantine(loc Locator) {
 	if !s.quarantined[loc] {
 		s.quarantined[loc] = true
 		s.met.quarantined.Inc()
-		s.cov.Hit("chunk.quarantine")
+		s.obs.Hit("chunk.quarantine")
 		if s.obs.Tracing() {
 			s.obs.Record("chunk", "quarantine", loc.String(), "ok", 0)
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 
-	"shardstore/internal/coverage"
 	"shardstore/internal/disk"
 	"shardstore/internal/faults"
 	"shardstore/internal/linearize"
@@ -29,7 +28,6 @@ func concStoreConfig(bugs *faults.Set) store.Config {
 		Disk:          disk.Config{PageSize: 128, PagesPerExtent: 8, ExtentCount: 24},
 		Seed:          7,
 		Bugs:          bugs,
-		Coverage:      coverage.NewRegistry(),
 		StagingTokens: 64,
 	}
 }
@@ -309,7 +307,7 @@ func Bug15Harness(bugs *faults.Set) func() {
 	return func() {
 		cs := model.NewRefChunkStore(bugs)
 		ms := model.NewRefMetaStore()
-		tree, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{MaxRuns: 8}, coverage.NewRegistry(), bugs)
+		tree, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{MaxRuns: 8}, bugs)
 		must(err, "tree setup")
 
 		writer := vsync.Go("writer", func() {

@@ -3,7 +3,7 @@ package core
 import (
 	"testing"
 
-	"shardstore/internal/coverage"
+	"shardstore/internal/obs"
 	"shardstore/internal/store"
 )
 
@@ -20,17 +20,16 @@ import (
 // here (#2) needs that path too, so the blind spot is exactly the state the
 // paper warns about.)
 func TestCoverageBlindSpotAnecdote(t *testing.T) {
-	run := func(cacheCapacity int) *coverage.Registry {
-		cov := coverage.NewRegistry()
+	run := func(cacheCapacity int) obs.Probes {
 		cfg := Config{
 			Seed: 31, Cases: 60, OpsPerCase: 40, Bias: DefaultBias(),
-			StoreConfig: store.Config{CacheCapacity: cacheCapacity, Coverage: cov},
+			StoreConfig: store.Config{CacheCapacity: cacheCapacity},
 		}
 		res := Run(cfg)
 		if res.Failure != nil {
 			t.Fatalf("clean run failed: %v", res.Failure.Err)
 		}
-		return cov
+		return res.Probes
 	}
 
 	// Oversized cache: the workload's whole working set fits, so only
@@ -40,12 +39,12 @@ func TestCoverageBlindSpotAnecdote(t *testing.T) {
 	small := run(4)
 
 	missProbe := "cache.miss"
-	if !small.Covered(missProbe) {
+	if small[missProbe] == 0 {
 		t.Fatalf("small cache never missed — probe wiring broken?\n%s", small.Report("cache"))
 	}
-	if small.Count(missProbe) <= huge.Count(missProbe) {
+	if small[missProbe] <= huge[missProbe] {
 		t.Fatalf("shrinking the cache should increase miss coverage: small=%d huge=%d",
-			small.Count(missProbe), huge.Count(missProbe))
+			small[missProbe], huge[missProbe])
 	}
 	// The monitoring workflow: declare the probes the harness must reach and
 	// let Missing flag erosion.
@@ -54,22 +53,22 @@ func TestCoverageBlindSpotAnecdote(t *testing.T) {
 		t.Fatalf("coverage erosion with a right-sized cache: %v", missing)
 	}
 	t.Logf("huge-cache misses=%d, small-cache misses=%d (blind spot visible in metrics)",
-		huge.Count(missProbe), small.Count(missProbe))
+		huge[missProbe], small[missProbe])
 }
 
 // TestHarnessCoverageOfSeededSites verifies the harness actually reaches the
 // code sites where the Fig 5 bugs live — the precondition for the detection
 // experiment to be meaningful (§4.2's purpose for coverage metrics).
 func TestHarnessCoverageOfSeededSites(t *testing.T) {
-	cov := coverage.NewRegistry()
 	cfg := Config{
 		Seed: 37, Cases: 250, OpsPerCase: 50, Bias: DefaultBias(),
 		EnableCrashes: true, EnableReboots: true, EnableFailures: true, EnableControlPlane: true,
-		StoreConfig: store.Config{Coverage: cov},
 	}
-	if res := Run(cfg); res.Failure != nil {
+	res := Run(cfg)
+	if res.Failure != nil {
 		t.Fatalf("clean run failed: %v", res.Failure.Err)
 	}
+	cov := res.Probes
 	wanted := []string{
 		"chunk.reclaim.evacuated", // bug #1/#5/#10 scan territory
 		"chunk.reclaim.garbage",   // garbage-drop path

@@ -9,9 +9,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"shardstore/internal/coverage"
 	"shardstore/internal/disk"
 	"shardstore/internal/faults"
+	"shardstore/internal/obs"
 	"shardstore/internal/prop"
 	"shardstore/internal/store"
 )
@@ -72,7 +72,7 @@ func TestHarnessFingerprint(t *testing.T) {
 		for i := 0; i < cfg.Cases; i++ {
 			ccfg := cfg
 			ccfg.StoreConfig.Bugs = faults.NewSet()
-			ccfg.StoreConfig.Coverage = coverage.NewRegistry()
+			ccfg.StoreConfig.Obs = obs.New(nil).WithProbes()
 			ccfg = ccfg.withDefaults()
 			seq := GenerateSeq(rand.New(rand.NewSource(prop.CaseSeed(cfg.Seed, i))), ccfg)
 			ops, crashes, d, err := RunSeqDisk(seq, ccfg)
@@ -80,7 +80,7 @@ func TestHarnessFingerprint(t *testing.T) {
 				failed++
 			}
 			fmt.Fprintf(h, "leg %d case %d: ops=%d crashes=%d err=%v\n", leg, i, ops, crashes, err)
-			io.WriteString(h, ccfg.StoreConfig.Coverage.Report(""))
+			io.WriteString(h, ccfg.StoreConfig.Obs.Snapshot().Probes.Report(""))
 			hashDiskImage(t, h, d)
 		}
 		t.Logf("leg %d: %d cases, %d with a violation", leg, cfg.Cases, failed)

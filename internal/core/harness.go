@@ -7,7 +7,6 @@ import (
 	"math/rand"
 
 	"shardstore/internal/chunk"
-	"shardstore/internal/coverage"
 	"shardstore/internal/disk"
 	"shardstore/internal/extent"
 	"shardstore/internal/faults"
@@ -27,8 +26,9 @@ type Config struct {
 	OpsPerCase int
 	// Bias tunes argument selection (§4.2).
 	Bias Bias
-	// StoreConfig configures the system under test. Bugs/Coverage inside it
-	// are honored.
+	// StoreConfig configures the system under test. Bugs and Obs inside it
+	// are honored; a sequence given no Obs runs on a private one with
+	// coverage probes on.
 	StoreConfig store.Config
 	// EnableCrashes includes DirtyReboot in the alphabet (§5).
 	EnableCrashes bool
@@ -68,17 +68,20 @@ type Config struct {
 	ExhaustiveCap int
 	// Minimize shrinks failing sequences (§4.3). Default true via Run.
 	Minimize bool
-	// ShrinkBudget bounds replays during minimization (default 2000).
-	ShrinkBudget int
-	// InvariantEvery checks full model/implementation equivalence every N
-	// ops (default 4; 1 = after every op as in Fig 3).
-	InvariantEvery int
 	// Workers is the number of pool workers cases fan out across (see
 	// pool.go); 0 means one per CPU (runtime.GOMAXPROCS). Results are
 	// bit-identical at any worker count: same seed + same case count ⇒ same
 	// Result. Use 1 to force sequential execution.
 	Workers int
 }
+
+const (
+	// shrinkBudget bounds replays during minimization.
+	shrinkBudget = 2000
+	// invariantEvery is how many ops pass between full model/implementation
+	// equivalence checks; a sequence always ends with one.
+	invariantEvery = 4
+)
 
 func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
@@ -92,12 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ExhaustiveCap == 0 {
 		c.ExhaustiveCap = 256
-	}
-	if c.ShrinkBudget == 0 {
-		c.ShrinkBudget = 2000
-	}
-	if c.InvariantEvery == 0 {
-		c.InvariantEvery = 4
 	}
 	if c.StoreConfig.Disk.PageSize == 0 {
 		c.StoreConfig.Disk = disk.DefaultConfig()
@@ -113,9 +110,6 @@ func (c Config) withDefaults() Config {
 		if c.StoreConfig.Disk.Faults == nil {
 			c.StoreConfig.Disk.Faults = c.StoreConfig.Bugs
 		}
-	}
-	if c.StoreConfig.Coverage == nil {
-		c.StoreConfig.Coverage = coverage.NewRegistry()
 	}
 	if c.Bias.UUIDZeroBias > 0 && c.StoreConfig.UUIDZeroBias == 0 {
 		c.StoreConfig.UUIDZeroBias = c.Bias.UUIDZeroBias
@@ -156,6 +150,10 @@ type Result struct {
 	Ops     int64
 	Crashes int64
 	Failure *Failure
+	// Probes sums the coverage-probe hits (§4.2) of the cases a sequential
+	// run executes. Only cases the harness gave their own Obs (the caller
+	// set no StoreConfig.Obs) contribute.
+	Probes obs.Probes
 }
 
 // Run executes the conformance check: Cases random sequences, each applied
@@ -163,25 +161,25 @@ type Result struct {
 // cfg.Workers pool workers (default: one per CPU); because every case builds
 // its own disk+store and derives its RNG from the root seed and case index,
 // the Result — pass/fail, failing case index, minimized sequence, and
-// coverage totals — is bit-identical at any worker count. The first (i.e.
+// probe totals — is bit-identical at any worker count. The first (i.e.
 // lowest-index) failure is minimized and returned; nil Failure means every
 // case passed (which, as §8.3 reminds us, "does not mean the code is
 // correct, only that the checker could not find a bug").
 func Run(cfg Config) Result {
 	cfg = cfg.withDefaults()
-	shared := cfg.StoreConfig.Coverage
 	outcomes := runPool(cfg.Workers, cfg.Cases, func(ctx context.Context, i int) caseOutcome {
-		// Each case records coverage into a private registry; the merge loop
-		// below folds in exactly the cases a sequential run would have
-		// executed, keeping totals independent of worker count.
+		// Each case records probes into a private Obs; the merge loop below
+		// folds in exactly the cases a sequential run would have executed,
+		// keeping totals independent of worker count.
 		ccfg := cfg
-		ccfg.StoreConfig.Coverage = coverage.NewRegistry()
-		if ccfg.StoreConfig.Disk.Coverage == shared {
-			ccfg.StoreConfig.Disk.Coverage = ccfg.StoreConfig.Coverage
+		var o *obs.Obs
+		if ccfg.StoreConfig.Obs == nil {
+			o = obs.New(nil).WithProbes()
+			ccfg.StoreConfig.Obs = o
 		}
 		seq := GenerateSeq(prop.Reseed(nil, prop.CaseSeed(cfg.Seed, i)), ccfg)
 		ops, crashes, err := RunSeqCtx(ctx, seq, ccfg)
-		return caseOutcome{ops: ops, crashes: crashes, cov: ccfg.StoreConfig.Coverage, err: err}
+		return caseOutcome{ops: ops, crashes: crashes, probes: o.Snapshot().Probes, err: err}
 	})
 
 	res := Result{}
@@ -189,7 +187,7 @@ func Run(cfg Config) Result {
 		res.Cases++
 		res.Ops += int64(out.ops)
 		res.Crashes += int64(out.crashes)
-		shared.Merge(out.cov)
+		res.Probes.Merge(out.probes)
 		if out.err == nil {
 			continue
 		}
@@ -204,7 +202,7 @@ func Run(cfg Config) Result {
 				_, _, cerr := RunSeq(cand, cfg)
 				return cerr != nil
 			}
-			f.Minimized = prop.MinimizeSeq(seq, fails, ShrinkOp, cfg.ShrinkBudget)
+			f.Minimized = prop.MinimizeSeq(seq, fails, ShrinkOp, shrinkBudget)
 			if _, _, merr := RunSeq(f.Minimized, cfg); merr != nil {
 				f.MinimizedErr = merr
 			}
@@ -283,6 +281,9 @@ func RunSeqDisk(seq []Op, cfg Config) (int, int, *disk.Disk, error) {
 
 func runSeqDisk(ctx context.Context, seq []Op, cfg Config) (int, int, *disk.Disk, error) {
 	cfg = cfg.withDefaults()
+	if cfg.StoreConfig.Obs == nil {
+		cfg.StoreConfig.Obs = obs.New(nil).WithProbes()
+	}
 	st, d, err := store.New(cfg.StoreConfig)
 	if err != nil {
 		return 0, 0, nil, fmt.Errorf("harness: store setup: %w", err)
@@ -304,7 +305,7 @@ func runSeqDisk(ctx context.Context, seq []Op, cfg Config) (int, int, *disk.Disk
 			tracer.Record("harness", "op", op.String(), "ok", 0)
 		}
 		es.opsRun++
-		if cfg.InvariantEvery > 0 && (i+1)%cfg.InvariantEvery == 0 {
+		if (i+1)%invariantEvery == 0 {
 			if err := es.checkInvariants(); err != nil {
 				return es.opsRun, es.crashes, es.d, fmt.Errorf("after op %d %s: %w", i, op, err)
 			}

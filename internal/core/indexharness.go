@@ -8,13 +8,13 @@ import (
 	"math/rand"
 
 	"shardstore/internal/chunk"
-	"shardstore/internal/coverage"
 	"shardstore/internal/dep"
 	"shardstore/internal/disk"
 	"shardstore/internal/extent"
 	"shardstore/internal/faults"
 	"shardstore/internal/lsm"
 	"shardstore/internal/model"
+	"shardstore/internal/obs"
 	"shardstore/internal/prop"
 )
 
@@ -92,7 +92,6 @@ type IndexConfig struct {
 	OpsPerCase int
 	Bias       Bias
 	Bugs       *faults.Set
-	Coverage   *coverage.Registry
 	Minimize   bool
 	// Workers is the number of pool workers cases fan out across; 0 means
 	// one per CPU. Results are bit-identical at any worker count.
@@ -129,6 +128,9 @@ type IndexResult struct {
 	Cases   int
 	Ops     int64
 	Failure *IndexFailure
+	// Probes sums the coverage-probe hits of the cases a sequential run
+	// executes (see Result.Probes).
+	Probes obs.Probes
 }
 
 // indexSUT is the index implementation stack under test: the real LSM tree
@@ -140,7 +142,7 @@ type indexSUT struct {
 	cs    *chunk.Store
 	tree  *lsm.Tree
 	bugs  *faults.Set
-	cov   *coverage.Registry
+	obs   *obs.Obs
 }
 
 // idxResolver lets reclamation reverse-look-up data chunks through the tree
@@ -154,12 +156,14 @@ func (idxNoDataResolver) RelocateChunk(string, chunk.Locator, chunk.Locator, *de
 }
 func (idxNoDataResolver) SyncReferences() (*dep.Dependency, error) { return dep.Resolved(), nil }
 
-func newIndexSUT(cfg IndexConfig) (*indexSUT, error) {
-	d, err := disk.New(disk.DefaultConfig())
+func newIndexSUT(cfg IndexConfig, o *obs.Obs) (*indexSUT, error) {
+	dcfg := disk.DefaultConfig()
+	dcfg.Obs = o
+	d, err := disk.New(dcfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &indexSUT{d: d, bugs: cfg.Bugs, cov: cfg.Coverage}
+	s := &indexSUT{d: d, bugs: cfg.Bugs, obs: o}
 	if err := s.open(); err != nil {
 		return nil, err
 	}
@@ -167,18 +171,18 @@ func newIndexSUT(cfg IndexConfig) (*indexSUT, error) {
 }
 
 func (s *indexSUT) open() error {
-	s.sched = dep.NewScheduler(s.d, s.cov)
-	em, err := extent.Recover(s.sched, extent.Config{}, s.cov, s.bugs)
+	s.sched = dep.NewScheduler(s.d, dep.Options{Obs: s.obs})
+	em, err := extent.Recover(s.sched, extent.Config{}, s.bugs)
 	if err != nil {
 		return err
 	}
 	s.em = em
-	s.cs = chunk.NewStore(em, chunk.Config{CacheCapacity: 16}, 7, s.cov, s.bugs)
-	ms, err := lsm.NewExtentMetaStore(s.sched, extent.MetaExtent, lsm.MaxMetaPayload(0), s.cov)
+	s.cs = chunk.NewStore(em, chunk.Config{CacheCapacity: 16, Obs: s.obs}, 7, s.bugs)
+	ms, err := lsm.NewExtentMetaStore(s.sched, extent.MetaExtent, lsm.MaxMetaPayload(0))
 	if err != nil {
 		return err
 	}
-	tree, err := lsm.NewTree(s.cs, ms, s.sched, lsm.Config{ResetHappened: em.ResetHappened}, s.cov, s.bugs)
+	tree, err := lsm.NewTree(s.cs, ms, s.sched, lsm.Config{ResetHappened: em.ResetHappened, Obs: s.obs}, s.bugs)
 	if err != nil {
 		return err
 	}
@@ -250,14 +254,14 @@ func GenerateIndexSeq(r *rand.Rand, cfg IndexConfig) []IndexOp {
 // reference index (Fig 3's proptest body), comparing results per operation
 // and checking the full key-value mapping invariant after each.
 func RunIndexSeq(seq []IndexOp, cfg IndexConfig) (int, error) {
-	return RunIndexSeqCtx(context.Background(), seq, cfg)
+	return runIndexSeq(context.Background(), seq, cfg, obs.New(nil).WithProbes())
 }
 
-// RunIndexSeqCtx is RunIndexSeq with cooperative cancellation between
-// operations; see RunSeqCtx.
-func RunIndexSeqCtx(ctx context.Context, seq []IndexOp, cfg IndexConfig) (int, error) {
+// runIndexSeq is RunIndexSeq on the node instrumented by o, with cooperative
+// cancellation between operations; see RunSeqCtx.
+func runIndexSeq(ctx context.Context, seq []IndexOp, cfg IndexConfig, o *obs.Obs) (int, error) {
 	cfg = cfg.withDefaults()
-	impl, err := newIndexSUT(cfg)
+	impl, err := newIndexSUT(cfg, o)
 	if err != nil {
 		return 0, err
 	}
@@ -376,21 +380,19 @@ func ShrinkIndexOp(op IndexOp) []IndexOp {
 // worker count.
 func RunIndexConformance(cfg IndexConfig) IndexResult {
 	cfg = cfg.withDefaults()
-	shared := cfg.Coverage
 	outcomes := runPool(cfg.Workers, cfg.Cases, func(ctx context.Context, i int) caseOutcome {
-		ccfg := cfg
-		ccfg.Coverage = coverage.NewRegistry()
 		r := rand.New(rand.NewSource(prop.CaseSeed(cfg.Seed, i)))
-		seq := GenerateIndexSeq(r, ccfg)
-		n, err := RunIndexSeqCtx(ctx, seq, ccfg)
-		return caseOutcome{ops: n, cov: ccfg.Coverage, err: err}
+		seq := GenerateIndexSeq(r, cfg)
+		o := obs.New(nil).WithProbes()
+		n, err := runIndexSeq(ctx, seq, cfg, o)
+		return caseOutcome{ops: n, probes: o.Snapshot().Probes, err: err}
 	})
 
 	res := IndexResult{}
 	for i, out := range outcomes {
 		res.Cases++
 		res.Ops += int64(out.ops)
-		shared.Merge(out.cov)
+		res.Probes.Merge(out.probes)
 		if out.err == nil {
 			continue
 		}
@@ -402,7 +404,7 @@ func RunIndexConformance(cfg IndexConfig) IndexResult {
 				_, cerr := RunIndexSeq(cand, cfg)
 				return cerr != nil
 			}
-			f.Minimized = prop.MinimizeSeq(seq, fails, ShrinkIndexOp, 2000)
+			f.Minimized = prop.MinimizeSeq(seq, fails, ShrinkIndexOp, shrinkBudget)
 		}
 		res.Failure = f
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"shardstore/internal/coverage"
 	"shardstore/internal/faults"
 )
 
@@ -31,12 +30,11 @@ type runSnapshot struct {
 func snapshotRun(t *testing.T, cfg Config, workers int) runSnapshot {
 	t.Helper()
 	cfg.Workers = workers
-	cfg.StoreConfig.Coverage = coverage.NewRegistry()
 	res := Run(cfg)
 	s := runSnapshot{
 		cases: res.Cases, ops: res.Ops, crashes: res.Crashes,
 		failCase: -1,
-		cov:      cfg.StoreConfig.Coverage.Snapshot(),
+		cov:      res.Probes,
 	}
 	if res.Failure != nil {
 		s.failCase = res.Failure.Case
@@ -125,9 +123,8 @@ func TestIndexConformanceDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) snap {
 		cfg := base
 		cfg.Workers = workers
-		cfg.Coverage = coverage.NewRegistry()
 		res := RunIndexConformance(cfg)
-		return snap{cases: res.Cases, ops: res.Ops, fail: res.Failure != nil, cov: cfg.Coverage.Snapshot()}
+		return snap{cases: res.Cases, ops: res.Ops, fail: res.Failure != nil, cov: res.Probes}
 	}
 	want := run(1)
 	if want.fail {

@@ -7,7 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"shardstore/internal/coverage"
+	"shardstore/internal/obs"
 	"shardstore/internal/vsync"
 )
 
@@ -23,9 +23,9 @@ import (
 //     (prop.CaseSeed), never from scheduling order;
 //   - the reported failure is always the lowest-index failing case, exactly
 //     as the sequential loop would have found it, minimized identically;
-//   - per-case coverage lands in a private registry and only the cases a
+//   - per-case coverage probes land in a private Obs and only the cases a
 //     sequential run would have executed (0..first failure) are merged, so
-//     coverage totals match at any worker count;
+//     probe totals match at any worker count;
 //   - cases above a discovered failure are cancelled via context for early
 //     exit, and their partial results are discarded.
 //
@@ -38,10 +38,10 @@ import (
 type caseOutcome struct {
 	ops     int
 	crashes int
-	// cov holds the case's private coverage registry (merged by the caller
-	// in index order).
-	cov *coverage.Registry
-	err error
+	// probes holds the case's coverage-probe hits (merged by the caller in
+	// index order).
+	probes obs.Probes
+	err    error
 }
 
 // errCaseCancelled marks a case abandoned because a lower-index case already

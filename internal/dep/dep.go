@@ -27,7 +27,6 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"shardstore/internal/coverage"
 	"shardstore/internal/disk"
 	"shardstore/internal/faults"
 	"shardstore/internal/obs"
@@ -359,15 +358,15 @@ func newSchedMetrics(o *obs.Obs) schedMetrics {
 	}
 }
 
-// Options configures optional scheduler integrations: metrics and the seeded
-// fault set. The zero value disables both.
+// Options configures optional scheduler integrations: metrics and coverage
+// probes, and the seeded fault set. The zero value disables both.
 type Options struct {
 	// Obs receives scheduler metrics: sched.syncs, sched.ios,
 	// sched.coalesced, sched.commits, sched.commit_followers, and the
 	// sched.group_size / sched.barrier_wait / sched.barrier_wait_leader
 	// histograms (the latter pair splits barrier time by role: follower
-	// enroll wait vs leader drive+sync time). Metering is count-only and
-	// never changes scheduling decisions.
+	// enroll wait vs leader drive+sync time), plus the sched.* coverage
+	// probes. Metering is count-only and never changes scheduling decisions.
 	Obs *obs.Obs
 	// Bugs gates seeded faults (FaultGroupCommitTornBarrier).
 	Bugs *faults.Set
@@ -382,7 +381,6 @@ type Scheduler struct {
 	nextID uint64
 	queue  []*writeback
 	issued []*writeback // issued but not yet durable
-	cov    *coverage.Registry
 	stats  Stats
 
 	// Incremental readiness: ready holds the pending writebacks whose every
@@ -411,17 +409,11 @@ type Scheduler struct {
 	met  schedMetrics
 }
 
-// NewScheduler creates a scheduler over d with no optional integrations.
-func NewScheduler(d *disk.Disk, cov *coverage.Registry) *Scheduler {
-	return NewSchedulerOpts(d, cov, Options{})
-}
-
-// NewSchedulerOpts creates a scheduler over d with metrics and seeded-fault
-// integrations.
-func NewSchedulerOpts(d *disk.Disk, cov *coverage.Registry, opts Options) *Scheduler {
+// NewScheduler creates a scheduler over d; the zero Options disables metrics
+// and seeded faults.
+func NewScheduler(d *disk.Disk, opts Options) *Scheduler {
 	s := &Scheduler{
 		d:             d,
-		cov:           cov,
 		blockers:      map[uint64][]blockRef{},
 		futureWaiters: map[*Dependency][]blockRef{},
 		bugs:          opts.Bugs,
@@ -433,6 +425,11 @@ func NewSchedulerOpts(d *disk.Disk, cov *coverage.Registry, opts Options) *Sched
 
 // Disk returns the underlying disk.
 func (s *Scheduler) Disk() *disk.Disk { return s.d }
+
+// Obs returns the scheduler's observability handle (nil without one). The
+// extent manager and metadata store built on the scheduler instrument
+// through it.
+func (s *Scheduler) Obs() *obs.Obs { return s.met.o }
 
 // Stats returns a snapshot of scheduler counters.
 func (s *Scheduler) Stats() Stats {
@@ -767,13 +764,13 @@ func (s *Scheduler) writeRunLocked(run []*writeback) []*writeback {
 	}
 	if err := s.d.WriteAt(run[0].ext, run[0].off, buf); err != nil {
 		s.stats.WriteErrors++
-		s.cov.Hit("sched.write_error")
+		s.met.o.Hit("sched.write_error")
 		if len(run) == 1 {
 			// Leave it queued; transient failures clear and the writeback
 			// is retried on the next pump.
 			return nil
 		}
-		s.cov.Hit("sched.run_split")
+		s.met.o.Hit("sched.run_split")
 		mid := len(run) / 2
 		issued := s.writeRunLocked(run[:mid])
 		return append(issued, s.writeRunLocked(run[mid:])...)
@@ -783,7 +780,7 @@ func (s *Scheduler) writeRunLocked(run []*writeback) []*writeback {
 	if len(run) > 1 {
 		s.stats.Coalesced += uint64(len(run) - 1)
 		s.met.coalesced.Add(uint64(len(run) - 1))
-		s.cov.Hit("sched.coalesced")
+		s.met.o.Hit("sched.coalesced")
 	}
 	for _, wb := range run {
 		wb.state = stateIssued
@@ -852,7 +849,7 @@ func (s *Scheduler) commitSyncOutside() error {
 		s.issued = nil
 		s.markDurableLocked(batch)
 		s.mu.Unlock()
-		s.cov.Hit("sched.fault.torn_barrier")
+		s.met.o.Hit("sched.fault.torn_barrier")
 		return nil
 	}
 	return s.syncOutside()
@@ -996,7 +993,7 @@ func (s *Scheduler) CommitTraced(d *Dependency, bind func() error, sp *obs.Span)
 			if d.IsPersistent() {
 				s.met.followers.Inc()
 				s.met.barrierWait.Observe(s.met.o.Now() - start)
-				s.cov.Hit("sched.commit_follower")
+				s.met.o.Hit("sched.commit_follower")
 				return nil
 			}
 			continue
@@ -1036,7 +1033,7 @@ func (s *Scheduler) commitLead(d *Dependency, bind func() error, sp *obs.Span) e
 			sp.Stage(obs.StageDiskSync, spStart, fmt.Sprintf("leader group=%d", size))
 		}
 		if size > 1 {
-			s.cov.Hit("sched.group_commit")
+			s.met.o.Hit("sched.group_commit")
 		}
 		return nil
 	}
@@ -1124,7 +1121,7 @@ func (s *Scheduler) CancelExtentPending(ext disk.ExtentID, supersede *Dependency
 			}
 		}
 	}
-	s.cov.Hit("sched.cancelled")
+	s.met.o.Hit("sched.cancelled")
 	return len(cancelled)
 }
 

@@ -16,7 +16,7 @@ func newSched(t *testing.T) *Scheduler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewScheduler(d, nil)
+	return NewScheduler(d, Options{})
 }
 
 func TestWriteBecomesPersistentAfterPump(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"shardstore/internal/coverage"
 	"shardstore/internal/disk"
 	"shardstore/internal/faults"
 	"shardstore/internal/obs"
@@ -50,7 +49,7 @@ func TestGroupCommitAmortizesSyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := obs.New(nil)
-	s := NewSchedulerOpts(d, coverage.NewRegistry(), Options{Obs: o})
+	s := NewScheduler(d, Options{Obs: o})
 
 	const writers = 8
 	gate := make(chan struct{})
@@ -124,8 +123,8 @@ func TestCommitTornBarrierFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cov := coverage.NewRegistry()
-	s := NewSchedulerOpts(d, cov, Options{Bugs: faults.NewSet(faults.FaultGroupCommitTornBarrier)})
+	o := obs.New(nil).WithProbes()
+	s := NewScheduler(d, Options{Obs: o, Bugs: faults.NewSet(faults.FaultGroupCommitTornBarrier)})
 	dep := s.Write("w", 1, 0, []byte{9})
 	if err := s.Commit(dep, nil); err != nil {
 		t.Fatal(err)
@@ -136,7 +135,7 @@ func TestCommitTornBarrierFault(t *testing.T) {
 	if got := d.Stats().Syncs; got != 0 {
 		t.Fatalf("torn barrier issued %d device flushes, want 0", got)
 	}
-	if cov.Count("sched.fault.torn_barrier") == 0 {
+	if o.Snapshot().Probes["sched.fault.torn_barrier"] == 0 {
 		t.Fatal("torn-barrier probe not hit")
 	}
 	// The lie becomes observable at a crash: the issued-but-unflushed pages
@@ -155,8 +154,8 @@ func TestWriteErrorSplitsCoalescedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cov := coverage.NewRegistry()
-	s := NewSchedulerOpts(d, cov, Options{})
+	o := obs.New(nil).WithProbes()
+	s := NewScheduler(d, Options{Obs: o})
 	// Two physically adjacent writes coalesce into one IO.
 	w1 := s.Write("a", 1, 0, []byte{1, 1})
 	w2 := s.Write("b", 1, 2, []byte{2, 2})
@@ -167,7 +166,7 @@ func TestWriteErrorSplitsCoalescedRun(t *testing.T) {
 	if !w1.IsPersistent() || !w2.IsPersistent() {
 		t.Fatal("split retry did not land both halves")
 	}
-	if cov.Count("sched.run_split") == 0 {
+	if o.Snapshot().Probes["sched.run_split"] == 0 {
 		t.Fatal("run-split probe not hit")
 	}
 	if st := s.Stats(); st.WriteErrors == 0 {
@@ -183,7 +182,7 @@ func TestReadsProceedDuringSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewScheduler(d, nil)
+	s := NewScheduler(d, Options{})
 	w := s.Write("w", 1, 0, []byte{7, 7})
 
 	gate := make(chan struct{})
@@ -234,7 +233,7 @@ func TestCrashDuringSyncNotDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewScheduler(d, nil)
+	s := NewScheduler(d, Options{})
 	w := s.Write("w", 1, 0, []byte{3, 3})
 
 	gate := make(chan struct{})
@@ -274,7 +273,7 @@ func TestShuttleGroupCommit(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		s := NewScheduler(d, nil)
+		s := NewScheduler(d, Options{})
 		const committers = 3
 		handles := make([]vsync.Handle, committers)
 		for i := 0; i < committers; i++ {

@@ -23,7 +23,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"shardstore/internal/coverage"
 	"shardstore/internal/faults"
 	"shardstore/internal/obs"
 	"shardstore/internal/vsync"
@@ -59,13 +58,11 @@ type Config struct {
 	PagesPerExtent int
 	// ExtentCount is the number of extents.
 	ExtentCount int
-	// Coverage optionally records probe hits.
-	Coverage *coverage.Registry
 	// Faults gates environmental fault injection that must stay inert on
 	// clean runs (currently FaultSilentCorruption for CorruptPage). A nil
 	// set disables all of it.
 	Faults *faults.Set
-	// Obs is the observability layer (metrics + optional tracing). A nil Obs
+	// Obs is the observability layer (metrics, probes, optional tracing). A nil Obs
 	// gives the disk a private registry so Stats keeps working standalone.
 	Obs *obs.Obs
 }
@@ -236,7 +233,7 @@ func (d *Disk) checkFailure(ext ExtentID, op string) error {
 	}
 	if fm.failPerm {
 		d.met.injectedErrs.Inc()
-		d.cfg.Coverage.Hit("disk.fail.permanent")
+		d.obs.Hit("disk.fail.permanent")
 		if d.obs.Tracing() {
 			d.obs.Record("disk", "fail", fmt.Sprintf("e%d", ext), "permanent:"+op, 0)
 		}
@@ -245,7 +242,7 @@ func (d *Disk) checkFailure(ext ExtentID, op string) error {
 	if fm.failOnce {
 		fm.failOnce = false
 		d.met.injectedErrs.Inc()
-		d.cfg.Coverage.Hit("disk.fail.transient")
+		d.obs.Hit("disk.fail.transient")
 		if d.obs.Tracing() {
 			d.obs.Record("disk", "fail", fmt.Sprintf("e%d", ext), "transient:"+op, 0)
 		}
@@ -485,7 +482,7 @@ func (d *Disk) CorruptPage(ext ExtentID, page int, mode RotMode, seed int64) boo
 		}
 	}
 	d.met.silentRots.Inc()
-	d.cfg.Coverage.Hit("disk.rot")
+	d.obs.Hit("disk.rot")
 	if d.obs.Tracing() {
 		d.obs.Record("disk", "rot", fmt.Sprintf("e%d/p%d", ext, page), mode.String(), 0)
 	}
@@ -511,7 +508,7 @@ func (d *Disk) Crash(rng *rand.Rand) (kept, lost []PageAddr) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.met.crashes.Inc()
-	d.cfg.Coverage.Hit("disk.crash")
+	d.obs.Hit("disk.crash")
 	kept, lost = d.applyCacheLocked(func(PageAddr) bool { return rng.Intn(2) == 0 })
 	if d.obs.Tracing() {
 		d.obs.Record("disk", "crash", "", fmt.Sprintf("kept=%d lost=%d", len(kept), len(lost)), 0)

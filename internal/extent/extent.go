@@ -24,10 +24,10 @@ import (
 	"hash/crc32"
 	"sort"
 
-	"shardstore/internal/coverage"
 	"shardstore/internal/dep"
 	"shardstore/internal/disk"
 	"shardstore/internal/faults"
+	"shardstore/internal/obs"
 	"shardstore/internal/vsync"
 )
 
@@ -97,7 +97,7 @@ type Manager struct {
 	mu    vsync.Mutex
 	sched *dep.Scheduler
 	cfg   disk.Config
-	cov   *coverage.Registry
+	obs   *obs.Obs // the scheduler's, for coverage probes
 	bugs  *faults.Set
 
 	soft  []int   // in-memory soft write pointer per extent
@@ -175,8 +175,8 @@ type Config struct {
 
 // NewManager formats a fresh extent table over sched's disk: extent 0 is the
 // superblock, extent 1 the LSM metadata extent, the rest free.
-func NewManager(sched *dep.Scheduler, cfg Config, cov *coverage.Registry, bugs *faults.Set) (*Manager, error) {
-	m, err := newManager(sched, cfg, cov, bugs)
+func NewManager(sched *dep.Scheduler, cfg Config, bugs *faults.Set) (*Manager, error) {
+	m, err := newManager(sched, cfg, bugs)
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +187,7 @@ func NewManager(sched *dep.Scheduler, cfg Config, cov *coverage.Registry, bugs *
 	return m, nil
 }
 
-func newManager(sched *dep.Scheduler, cfg Config, cov *coverage.Registry, bugs *faults.Set) (*Manager, error) {
+func newManager(sched *dep.Scheduler, cfg Config, bugs *faults.Set) (*Manager, error) {
 	dcfg := sched.Disk().Config()
 	recSize := recordSize(dcfg)
 	if recSize > dcfg.ExtentBytes() {
@@ -200,7 +200,7 @@ func newManager(sched *dep.Scheduler, cfg Config, cov *coverage.Registry, bugs *
 	m := &Manager{
 		sched:      sched,
 		cfg:        dcfg,
-		cov:        cov,
+		obs:        sched.Obs(),
 		bugs:       bugs,
 		soft:       make([]int, dcfg.ExtentCount),
 		owner:      make([]Owner, dcfg.ExtentCount),
@@ -264,7 +264,7 @@ func (m *Manager) ResetHappened() bool {
 // that flusher competes for a token too. Caller holds m.mu.
 func (m *Manager) acquireTokenLocked() {
 	for m.poolUsed >= m.poolCap {
-		m.cov.Hit("extent.pool.exhausted")
+		m.obs.Hit("extent.pool.exhausted")
 		if m.bugs.Enabled(faults.Bug12BufferPoolDeadlock) {
 			m.poolCond.Wait()
 			continue
@@ -330,7 +330,7 @@ func (m *Manager) Allocate(owner Owner) (disk.ExtentID, error) {
 		m.soft[i] = 0
 		ownDep := m.stageOwnLocked()
 		m.gates[ext] = dep.All(m.gates[ext], ownDep)
-		m.cov.Hit("extent.allocate")
+		m.obs.Hit("extent.allocate")
 		return ext, nil
 	}
 	return 0, ErrNoFreeExtent
@@ -368,7 +368,7 @@ func (m *Manager) Append(label string, ext disk.ExtentID, data []byte, waits ...
 		// pointer update, so a crash could persist the data while the
 		// superblock still points before it — making the data unreadable
 		// after recovery even though the dependency claimed persistence.
-		m.cov.Hit("extent.bug8.missing_ptr_dep")
+		m.obs.Hit("extent.bug8.missing_ptr_dep")
 		return off, wdep, nil
 	}
 	return off, wdep.And(ptrDep), nil
@@ -432,14 +432,14 @@ func (m *Manager) Reset(ext disk.ExtentID, waits ...*dep.Dependency) (*dep.Depen
 		// Seeded bug #7: appends after a reset did not wait for the reset
 		// record (and its evacuation dependencies) to persist, so the soft
 		// and hard write pointers could disagree across a crash.
-		m.cov.Hit("extent.bug7.skipped_gate")
+		m.obs.Hit("extent.bug7.skipped_gate")
 		delete(m.gates, ext)
 		delete(m.resetGates, ext)
 	} else {
 		m.gates[ext] = resetDep
 		m.resetGates[ext] = resetDep
 	}
-	m.cov.Hit("extent.reset")
+	m.obs.Hit("extent.reset")
 	if err := m.maybeAutoFlushLocked(); err != nil {
 		return nil, fmt.Errorf("auto-flush after reset: %w", err)
 	}
@@ -532,7 +532,7 @@ func (m *Manager) flushLocked() (*dep.Dependency, error) {
 		// Seeded bug #12: the flusher competed for a staging token with the
 		// threads whose staged updates it was supposed to drain. With the
 		// pool exhausted every thread waits forever.
-		m.cov.Hit("extent.bug12.flusher_waits")
+		m.obs.Hit("extent.bug12.flusher_waits")
 		m.acquireTokenLocked()
 		m.poolUsed-- // token returned immediately after the record is built
 	}
@@ -547,7 +547,7 @@ func (m *Manager) flushLocked() (*dep.Dependency, error) {
 			// therefore never persisted, and a later crash recovers the
 			// extent as free — with durable chunks and index entries still
 			// pointing into it.
-			m.cov.Hit("extent.bug6.ownership_not_written")
+			m.obs.Hit("extent.bug6.ownership_not_written")
 			if m.futureOwn != nil {
 				m.sched.Bind(m.futureOwn, dep.Resolved())
 				m.futureOwn = nil
@@ -590,7 +590,7 @@ func (m *Manager) flushLocked() (*dep.Dependency, error) {
 	}
 	m.releaseTokensLocked(m.poolUsed)
 	m.lastRecord = out
-	m.cov.Hit("extent.superblock.flush")
+	m.obs.Hit("extent.superblock.flush")
 	return out, nil
 }
 
@@ -603,14 +603,14 @@ func (m *Manager) writeRecordLocked(rec []byte, waits []*dep.Dependency) *dep.De
 	if own {
 		if m.sbOffOwn+recSize > m.ownSlots*recSize {
 			m.sbOffOwn = 0
-			m.cov.Hit("extent.superblock.cycle")
+			m.obs.Hit("extent.superblock.cycle")
 		}
 		off = m.sbOffOwn
 		m.sbOffOwn += recSize
 	} else {
 		if m.sbOffPtr+recSize > m.cfg.ExtentBytes() {
 			m.sbOffPtr = m.ownSlots * recSize
-			m.cov.Hit("extent.superblock.cycle")
+			m.obs.Hit("extent.superblock.cycle")
 		}
 		off = m.sbOffPtr
 		m.sbOffPtr += recSize
@@ -706,8 +706,8 @@ func decodeRecord(buf []byte, extentCount int) (magic uint32, gen uint64, vals [
 
 // Recover rebuilds the extent table after a reboot by scanning the
 // superblock extent for the highest-generation valid record.
-func Recover(sched *dep.Scheduler, cfg Config, cov *coverage.Registry, bugs *faults.Set) (*Manager, error) {
-	m, err := newManager(sched, cfg, cov, bugs)
+func Recover(sched *dep.Scheduler, cfg Config, bugs *faults.Set) (*Manager, error) {
+	m, err := newManager(sched, cfg, bugs)
 	if err != nil {
 		return nil, err
 	}
@@ -744,7 +744,7 @@ func Recover(sched *dep.Scheduler, cfg Config, cov *coverage.Registry, bugs *fau
 		if int(MetaExtent) < len(m.owner) {
 			m.owner[MetaExtent] = OwnerMeta
 		}
-		cov.Hit("extent.recover.virgin")
+		m.obs.Hit("extent.recover.virgin")
 		return m, nil
 	}
 	if bestOwn != nil {
@@ -780,7 +780,7 @@ func Recover(sched *dep.Scheduler, cfg Config, cov *coverage.Registry, bugs *fau
 		}
 	}
 	m.recovered = true
-	cov.Hit("extent.recover")
+	m.obs.Hit("extent.recover")
 	return m, nil
 }
 

@@ -17,8 +17,8 @@ func newManagerT(t *testing.T, bugs *faults.Set) (*Manager, *dep.Scheduler) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := dep.NewScheduler(d, nil)
-	m, err := NewManager(s, Config{}, nil, bugs)
+	s := dep.NewScheduler(d, dep.Options{})
+	m, err := NewManager(s, Config{}, bugs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +134,8 @@ func TestRecoverRestoresPointersAndOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := dep.NewScheduler(s.Disk(), nil)
-	m2, err := Recover(s2, Config{}, nil, nil)
+	s2 := dep.NewScheduler(s.Disk(), dep.Options{})
+	m2, err := Recover(s2, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +152,8 @@ func TestRecoverRestoresPointersAndOwnership(t *testing.T) {
 
 func TestRecoverVirginDiskFormats(t *testing.T) {
 	d, _ := disk.New(disk.DefaultConfig())
-	s := dep.NewScheduler(d, nil)
-	m, err := Recover(s, Config{}, nil, nil)
+	s := dep.NewScheduler(d, dep.Options{})
+	m, err := Recover(s, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +172,8 @@ func TestCrashLosesUnflushedPointers(t *testing.T) {
 	_, _, _ = m.Append("y", ext, []byte{4, 5})
 	s.Crash(rand.New(rand.NewSource(1)))
 
-	s2 := dep.NewScheduler(s.Disk(), nil)
-	m2, err := Recover(s2, Config{}, nil, nil)
+	s2 := dep.NewScheduler(s.Disk(), dep.Options{})
+	m2, err := Recover(s2, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,8 +311,8 @@ func TestSuperblockRecordCyclingSurvivesManyFlushes(t *testing.T) {
 			t.Fatalf("flush %d: %v", i, err)
 		}
 	}
-	s2 := dep.NewScheduler(s.Disk(), nil)
-	m2, err := Recover(s2, Config{}, nil, nil)
+	s2 := dep.NewScheduler(s.Disk(), dep.Options{})
+	m2, err := Recover(s2, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,8 +342,8 @@ func TestBug6OwnershipNotRewrittenAfterReboot(t *testing.T) {
 	// Session 1 (virgin): allocation persists normally.
 	bugs := faults.NewSet(faults.Bug6SuperblockOwnershipDep)
 	d, _ := disk.New(disk.DefaultConfig())
-	s := dep.NewScheduler(d, nil)
-	m, err := Recover(s, Config{}, nil, bugs)
+	s := dep.NewScheduler(d, dep.Options{})
+	m, err := Recover(s, Config{}, bugs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,8 +353,8 @@ func TestBug6OwnershipNotRewrittenAfterReboot(t *testing.T) {
 	_ = s.Pump()
 
 	// Session 2 (recovered): a new allocation's ownership is never written.
-	s2 := dep.NewScheduler(d, nil)
-	m2, err := Recover(s2, Config{}, nil, bugs)
+	s2 := dep.NewScheduler(d, dep.Options{})
+	m2, err := Recover(s2, Config{}, bugs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,8 +368,8 @@ func TestBug6OwnershipNotRewrittenAfterReboot(t *testing.T) {
 		t.Fatal("append should (incorrectly) report persistent under bug #6")
 	}
 	// Session 3: the extent comes back free.
-	s3 := dep.NewScheduler(d, nil)
-	m3, err := Recover(s3, Config{}, nil, bugs)
+	s3 := dep.NewScheduler(d, dep.Options{})
+	m3, err := Recover(s3, Config{}, bugs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,8 +392,8 @@ func TestAutoFlushPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := dep.NewScheduler(d, nil)
-	m, err := NewManager(s, Config{AutoFlushThreshold: 1}, nil, nil)
+	s := dep.NewScheduler(d, dep.Options{})
+	m, err := NewManager(s, Config{AutoFlushThreshold: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,7 +117,7 @@ func TestLeveledLockstepRandomOps(t *testing.T) {
 			ms := model.NewRefMetaStore()
 			// MaxRuns 64: structural ops are explicit here, so the flush
 			// path's own auto-compaction stays out of the way.
-			tree, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{MaxRuns: 64}, nil, bugs)
+			tree, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{MaxRuns: 64}, bugs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -208,7 +208,7 @@ func TestCompactionEmptyOutput(t *testing.T) {
 			bugs := faults.NewSet()
 			cs := model.NewRefChunkStore(bugs)
 			ms := model.NewRefMetaStore()
-			tree, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{MaxRuns: 64}, nil, bugs)
+			tree, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{MaxRuns: 64}, bugs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,7 +230,7 @@ func TestCompactionEmptyOutput(t *testing.T) {
 			if _, err := tree.Get("k"); !errors.Is(err, lsm.ErrNotFound) {
 				t.Fatalf("Get after cancelling merge: %v", err)
 			}
-			reopened, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{MaxRuns: 64}, nil, bugs)
+			reopened, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{MaxRuns: 64}, bugs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -289,7 +289,7 @@ func TestNewestGenerationFirstRead(t *testing.T) {
 	bugs := faults.NewSet()
 	cs := model.NewRefChunkStore(bugs)
 	ms := model.NewRefMetaStore()
-	tree, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{MaxRuns: 64}, nil, bugs)
+	tree, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{MaxRuns: 64}, bugs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestManifestV1Fallback(t *testing.T) {
 	bugs := faults.NewSet()
 	cs := model.NewRefChunkStore(bugs)
 	ms := model.NewRefMetaStore()
-	tree, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{MaxRuns: 64}, nil, bugs)
+	tree, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{MaxRuns: 64}, bugs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestManifestV1Fallback(t *testing.T) {
 	if _, err := ms.WriteRecord(v1, dep.Resolved()); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{MaxRuns: 64}, nil, bugs)
+	reopened, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{MaxRuns: 64}, bugs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestApplyPlanRejectsUnsafePlans(t *testing.T) {
 	bugs := faults.NewSet()
 	cs := model.NewRefChunkStore(bugs)
 	ms := model.NewRefMetaStore()
-	tree, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{MaxRuns: 64}, nil, bugs)
+	tree, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{MaxRuns: 64}, bugs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"shardstore/internal/coverage"
 	"shardstore/internal/dep"
 	"shardstore/internal/disk"
 	"shardstore/internal/vsync"
@@ -53,7 +52,6 @@ type ExtentMetaStore struct {
 	slots    int
 	nextSlot int
 	gen      uint64
-	cov      *coverage.Registry
 	// lastRec chains record writes so at most one is in flight; see the
 	// superblock's identical discipline for why (a torn slot reuse must not
 	// be able to destroy the newest durable record).
@@ -62,7 +60,7 @@ type ExtentMetaStore struct {
 
 // NewExtentMetaStore creates a metadata store on ext. maxPayload bounds the
 // record payload; it determines the slot size.
-func NewExtentMetaStore(sched *dep.Scheduler, ext disk.ExtentID, maxPayload int, cov *coverage.Registry) (*ExtentMetaStore, error) {
+func NewExtentMetaStore(sched *dep.Scheduler, ext disk.ExtentID, maxPayload int) (*ExtentMetaStore, error) {
 	cfg := sched.Disk().Config()
 	raw := metaHeaderLen + maxPayload + metaTrailerLen
 	ps := cfg.PageSize
@@ -71,7 +69,7 @@ func NewExtentMetaStore(sched *dep.Scheduler, ext disk.ExtentID, maxPayload int,
 	if slots < 2 {
 		return nil, fmt.Errorf("lsm: metadata extent too small: %d slots of %d bytes", slots, slotSize)
 	}
-	m := &ExtentMetaStore{sched: sched, ext: ext, slotSize: slotSize, slots: slots, cov: cov}
+	m := &ExtentMetaStore{sched: sched, ext: ext, slotSize: slotSize, slots: slots}
 	// Adopt the generation and slot cursor from any existing records so a
 	// recovered store keeps ascending generations.
 	if err := m.recoverCursor(); err != nil {
@@ -123,7 +121,7 @@ func (m *ExtentMetaStore) WriteRecord(payload []byte, waits ...*dep.Dependency) 
 	}
 	d := m.sched.WriteOwned("LSM-tree metadata", m.ext, off, rec, allWaits...)
 	m.lastRec = d
-	m.cov.Hit("lsm.meta.write")
+	m.sched.Obs().Hit("lsm.meta.write")
 	return d, nil
 }
 

@@ -154,8 +154,8 @@ func TestSearchRun(t *testing.T) {
 
 func TestExtentMetaStoreRoundTrip(t *testing.T) {
 	d, _ := disk.New(disk.DefaultConfig())
-	sched := dep.NewScheduler(d, nil)
-	ms, err := NewExtentMetaStore(sched, 1, 64, nil)
+	sched := dep.NewScheduler(d, dep.Options{})
+	ms, err := NewExtentMetaStore(sched, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +180,8 @@ func TestExtentMetaStoreRoundTrip(t *testing.T) {
 
 func TestExtentMetaStoreNewestGenerationWins(t *testing.T) {
 	d, _ := disk.New(disk.DefaultConfig())
-	sched := dep.NewScheduler(d, nil)
-	ms, _ := NewExtentMetaStore(sched, 1, 64, nil)
+	sched := dep.NewScheduler(d, dep.Options{})
+	ms, _ := NewExtentMetaStore(sched, 1, 64)
 	for i := 0; i < 12; i++ { // cycles through the slots
 		if _, err := ms.WriteRecord([]byte{byte('a' + i)}); err != nil {
 			t.Fatal(err)
@@ -195,7 +195,7 @@ func TestExtentMetaStoreNewestGenerationWins(t *testing.T) {
 		t.Fatalf("latest after cycling: %q", got)
 	}
 	// A new store on the same disk adopts the generation cursor.
-	ms2, _ := NewExtentMetaStore(dep.NewScheduler(d, nil), 1, 64, nil)
+	ms2, _ := NewExtentMetaStore(dep.NewScheduler(d, dep.Options{}), 1, 64)
 	got2, _ := ms2.ReadLatest()
 	if string(got2) != string(got) {
 		t.Fatalf("recovered latest: %q", got2)
@@ -204,8 +204,8 @@ func TestExtentMetaStoreNewestGenerationWins(t *testing.T) {
 
 func TestExtentMetaStoreRecordTooLarge(t *testing.T) {
 	d, _ := disk.New(disk.DefaultConfig())
-	sched := dep.NewScheduler(d, nil)
-	ms, _ := NewExtentMetaStore(sched, 1, 64, nil)
+	sched := dep.NewScheduler(d, dep.Options{})
+	ms, _ := NewExtentMetaStore(sched, 1, 64)
 	if _, err := ms.WriteRecord(make([]byte, 500)); !errors.Is(err, ErrMetaTooLarge) {
 		t.Fatalf("oversized record: %v", err)
 	}
@@ -213,8 +213,8 @@ func TestExtentMetaStoreRecordTooLarge(t *testing.T) {
 
 func TestExtentMetaStoreTornWriteKeepsPrevious(t *testing.T) {
 	d, _ := disk.New(disk.DefaultConfig())
-	sched := dep.NewScheduler(d, nil)
-	ms, _ := NewExtentMetaStore(sched, 1, 200, nil) // records span multiple pages
+	sched := dep.NewScheduler(d, dep.Options{})
+	ms, _ := NewExtentMetaStore(sched, 1, 200) // records span multiple pages
 	_, _ = ms.WriteRecord(bytes.Repeat([]byte{1}, 200))
 	_ = sched.Pump()
 	_, _ = ms.WriteRecord(bytes.Repeat([]byte{2}, 200))

@@ -121,14 +121,14 @@ func (t *Tree) scanSnapshot(start, end string) ([][]Entry, error) {
 			// A run vanished mid-load (compaction swapped it out and
 			// reclamation got there first): the generation moved, take a
 			// fresh snapshot.
-			t.cov.Hit("lsm.scan.load_retry")
+			t.obs.Hit("lsm.scan.load_retry")
 			vsync.Yield()
 			continue
 		}
 		if !torn && t.ManifestGen() != gen {
 			// Torn snapshot: a flush/compaction published a new generation
 			// while runs were loading. Discard and retry.
-			t.cov.Hit("lsm.scan.gen_retry")
+			t.obs.Hit("lsm.scan.gen_retry")
 			vsync.Yield()
 			continue
 		}
@@ -141,7 +141,7 @@ func (t *Tree) scanSnapshot(start, end string) ([][]Entry, error) {
 	defer t.flushMu.Unlock()
 	t.compactMu.Lock()
 	defer t.compactMu.Unlock()
-	t.cov.Hit("lsm.scan.stable_fallback")
+	t.obs.Hit("lsm.scan.stable_fallback")
 	srcs, _, _, err := t.scanSources(start, end)
 	return srcs, err
 }
@@ -177,7 +177,7 @@ func (t *Tree) scanSources(start, end string) ([][]Entry, uint64, bool, error) {
 			}
 		}
 		runs = composed
-		t.cov.Hit("lsm.scan.torn_view")
+		t.obs.Hit("lsm.scan.torn_view")
 	}
 	t.mu.Unlock()
 

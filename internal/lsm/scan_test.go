@@ -25,7 +25,7 @@ func newScanTree(t *testing.T, bugs *faults.Set) (*lsm.Tree, *model.RefChunkStor
 	t.Helper()
 	cs := model.NewRefChunkStore(bugs)
 	ms := model.NewRefMetaStore()
-	tree, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{MaxRuns: 64}, nil, bugs)
+	tree, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{MaxRuns: 64}, bugs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"shardstore/internal/chunk"
-	"shardstore/internal/coverage"
 	"shardstore/internal/dep"
 	"shardstore/internal/faults"
 	"shardstore/internal/obs"
@@ -136,7 +135,6 @@ type Tree struct {
 	ms   MetaStore
 	futs FutureFactory
 	cfg  Config
-	cov  *coverage.Registry
 	bugs *faults.Set
 	obs  *obs.Obs
 	met  treeMetrics
@@ -170,7 +168,7 @@ type FutureFactory interface {
 
 // NewTree opens (or recovers) a tree whose runs are listed in ms. A fresh
 // metadata extent yields an empty tree.
-func NewTree(cs ChunkStore, ms MetaStore, futs FutureFactory, cfg Config, cov *coverage.Registry, bugs *faults.Set) (*Tree, error) {
+func NewTree(cs ChunkStore, ms MetaStore, futs FutureFactory, cfg Config, bugs *faults.Set) (*Tree, error) {
 	if cfg.MaxRuns <= 0 {
 		cfg.MaxRuns = DefaultMaxRuns
 	}
@@ -183,7 +181,6 @@ func NewTree(cs ChunkStore, ms MetaStore, futs FutureFactory, cfg Config, cov *c
 		ms:       ms,
 		futs:     futs,
 		cfg:      cfg,
-		cov:      cov,
 		bugs:     bugs,
 		obs:      o,
 		met:      newTreeMetrics(o),
@@ -207,7 +204,7 @@ func NewTree(cs ChunkStore, ms MetaStore, futs FutureFactory, cfg Config, cov *c
 			}
 		}
 		t.updateRunMetricsLocked()
-		cov.Hit("lsm.recovered")
+		t.obs.Hit("lsm.recovered")
 	}
 	return t, nil
 }
@@ -511,7 +508,7 @@ func (t *Tree) flush(skipMeta bool) (*dep.Dependency, error) {
 		// an extent had been reset this session, so the freshly flushed run
 		// is forgotten by the next recovery even though every dependency
 		// reported persistent.
-		t.cov.Hit("lsm.bug3.meta_skipped")
+		t.obs.Hit("lsm.bug3.meta_skipped")
 		flushDep = cdep
 	} else {
 		var mdep *dep.Dependency
@@ -532,7 +529,7 @@ func (t *Tree) flush(skipMeta bool) (*dep.Dependency, error) {
 	t.lastFlush = flushDep
 	t.updateRunMetricsLocked()
 	t.mu.Unlock()
-	t.cov.Hit("lsm.flush")
+	t.obs.Hit("lsm.flush")
 	t.met.flushes.Inc()
 	t.met.flushDur.Observe(t.obs.Now() - start)
 	if t.obs.Tracing() {
@@ -636,7 +633,7 @@ func (r RunResolver) RelocateChunk(key string, old, newLoc chunk.Locator, newDep
 	if err != nil {
 		return false, nil, err
 	}
-	t.cov.Hit("lsm.run_relocated")
+	t.obs.Hit("lsm.run_relocated")
 	return true, mdep, nil
 }
 

@@ -96,7 +96,7 @@ func (t *Tree) applyPlanLocked(p compact.Plan) (compact.Result, error) {
 		}
 	}
 	if len(inputs) != len(p.Inputs) {
-		t.cov.Hit("lsm.compact.abort_missing_input")
+		t.obs.Hit("lsm.compact.abort_missing_input")
 		return compact.Result{}, nil
 	}
 	if err := validatePlanShape(inputs, rest, p.OutLevel); err != nil {
@@ -167,13 +167,13 @@ func (t *Tree) applyPlanLocked(p compact.Plan) (compact.Result, error) {
 			// metadata update then installs a dangling pointer, losing the
 			// index entries the run contained.
 			release()
-			t.cov.Hit("lsm.bug14.early_unpin")
+			t.obs.Hit("lsm.bug14.early_unpin")
 			vsync.Yield()
 		} else {
 			defer release()
 		}
 	} else {
-		t.cov.Hit("lsm.compact.empty_output")
+		t.obs.Hit("lsm.compact.empty_output")
 	}
 
 	t.mu.Lock()
@@ -188,7 +188,7 @@ func (t *Tree) applyPlanLocked(p compact.Plan) (compact.Result, error) {
 	for _, s := range p.Inputs {
 		if !cur[s] {
 			t.mu.Unlock()
-			t.cov.Hit("lsm.compact.cas_abort")
+			t.obs.Hit("lsm.compact.cas_abort")
 			return compact.Result{}, nil
 		}
 	}
@@ -226,7 +226,7 @@ func (t *Tree) applyPlanLocked(p compact.Plan) (compact.Result, error) {
 			// as peers, so a crash can tear them apart — the manifest page
 			// survives, the output chunk's pages do not — and recovery then
 			// serves a generation whose run chunk never reached the media.
-			t.cov.Hit("lsm.compact.stale_manifest")
+			t.obs.Hit("lsm.compact.stale_manifest")
 		} else {
 			manifestWaits = append(manifestWaits, cdep)
 		}
@@ -241,7 +241,7 @@ func (t *Tree) applyPlanLocked(p compact.Plan) (compact.Result, error) {
 	if cdep != nil {
 		manifest = cdep.And(mdep)
 	}
-	t.cov.Hit("lsm.compact.leveled")
+	t.obs.Hit("lsm.compact.leveled")
 	t.met.compactions.Inc()
 	t.met.compactDur.Observe(t.obs.Now() - start)
 	if t.obs.Tracing() {

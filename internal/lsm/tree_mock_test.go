@@ -22,7 +22,7 @@ func newMockTree(t *testing.T, bugs *faults.Set) (*lsm.Tree, *model.RefChunkStor
 	t.Helper()
 	cs := model.NewRefChunkStore(bugs)
 	ms := model.NewRefMetaStore()
-	tree, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{MaxRuns: 4}, nil, bugs)
+	tree, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{MaxRuns: 4}, bugs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +136,11 @@ func TestTreeRecoverFromMetadata(t *testing.T) {
 	bugs := faults.NewSet()
 	cs := model.NewRefChunkStore(bugs)
 	ms := model.NewRefMetaStore()
-	tree, _ := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{}, nil, bugs)
+	tree, _ := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{}, bugs)
 	_, _ = tree.Put("persist", []byte("me"))
 	_, _ = tree.Flush()
 
-	tree2, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{}, nil, bugs)
+	tree2, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{}, bugs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,13 +208,13 @@ func TestBug3ShutdownSkipsMetadata(t *testing.T) {
 	bugs := faults.NewSet(faults.Bug3ShutdownMetadataSkip)
 	cs := model.NewRefChunkStore(bugs)
 	ms := model.NewRefMetaStore()
-	tree, _ := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{ResetHappened: func() bool { return true }}, nil, bugs)
+	tree, _ := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{ResetHappened: func() bool { return true }}, bugs)
 	_, _ = tree.Put("k", []byte{9})
 	if _, err := tree.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 	// Recovery sees the stale metadata: the flushed run is forgotten.
-	tree2, _ := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{}, nil, bugs)
+	tree2, _ := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{}, bugs)
 	if _, err := tree2.Get("k"); !errors.Is(err, lsm.ErrNotFound) {
 		t.Fatalf("bug3 should lose the entry: %v", err)
 	}

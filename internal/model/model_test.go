@@ -139,7 +139,7 @@ func TestRefChunkStoreGetUnknown(t *testing.T) {
 func mkDep(t *testing.T) (*dep.Scheduler, func() *dep.Dependency) {
 	t.Helper()
 	d, _ := disk.New(disk.DefaultConfig())
-	s := dep.NewScheduler(d, nil)
+	s := dep.NewScheduler(d, dep.Options{})
 	i := 0
 	return s, func() *dep.Dependency {
 		i++

@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -235,6 +238,8 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	// probes is the coverage-probe table (Obs.WithProbes); nil when off.
+	probes Probes
 }
 
 // NewRegistry creates a registry timed by clock; a nil clock selects a fresh
@@ -314,6 +319,14 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// hit counts one hit of probe name; the table must be on. It is kept out of
+// Obs.Hit so that the probes-off path stays small enough to inline.
+func (r *Registry) hit(name string) {
+	r.mu.Lock()
+	r.probes[name]++
+	r.mu.Unlock()
+}
+
 // Snapshot is a point-in-time, JSON-serializable view of a whole registry —
 // the payload of the rpc `metrics` op. Snapshots merge by addition (gauges by
 // summation), so per-disk registries combine into one host view.
@@ -321,6 +334,46 @@ type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
+	Probes     Probes                       `json:"probes,omitempty"`
+}
+
+// Probes maps a coverage-probe name to its hit count. Probes are the §4.2
+// coverage metrics: named implementation sites a harness declares it must
+// reach, so a site its workload never hits shows as a blind spot.
+type Probes map[string]uint64
+
+// Merge adds every count of o into ps.
+func (ps *Probes) Merge(o Probes) {
+	for name, n := range o {
+		if *ps == nil {
+			*ps = make(Probes, len(o))
+		}
+		(*ps)[name] += n
+	}
+}
+
+// Missing returns the probes in want that were never hit, sorted.
+func (ps Probes) Missing(want []string) []string {
+	var missing []string
+	for _, name := range want {
+		if ps[name] == 0 {
+			missing = append(missing, name)
+		}
+	}
+	sort.Strings(missing)
+	return missing
+}
+
+// Report renders the probes whose names start with prefix as a stable table:
+// one "name count" line per probe, sorted by name.
+func (ps Probes) Report(prefix string) string {
+	var b strings.Builder
+	for _, name := range sortedKeys(ps) {
+		if strings.HasPrefix(name, prefix) {
+			fmt.Fprintf(&b, "%-48s %d\n", name, ps[name])
+		}
+	}
+	return b.String()
 }
 
 // Snapshot captures every registered metric. Each metric is read atomically;
@@ -350,10 +403,16 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Histograms[name] = h.Snapshot()
 		}
 	}
+	if len(r.probes) > 0 {
+		s.Probes = make(Probes, len(r.probes))
+		for name, n := range r.probes {
+			s.Probes[name] = n
+		}
+	}
 	return s
 }
 
-// Merge folds o into s (counter and gauge addition, histogram merge).
+// Merge folds o into s (counter, gauge and probe addition, histogram merge).
 func (s *Snapshot) Merge(o Snapshot) {
 	for name, v := range o.Counters {
 		if s.Counters == nil {
@@ -375,4 +434,5 @@ func (s *Snapshot) Merge(o Snapshot) {
 		cur.Merge(h)
 		s.Histograms[name] = cur
 	}
+	s.Probes.Merge(o.Probes)
 }

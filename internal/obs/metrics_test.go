@@ -189,10 +189,11 @@ func TestNilSafety(t *testing.T) {
 	o.Gauge("g").Set(5)
 	o.Histogram("h").Observe(9)
 	o.Record("layer", "op", "t", "ok", 1)
+	o.Hit("probe")
 	if o.Now() != 0 || o.Tracing() {
 		t.Fatal("nil obs must read as tick 0, not tracing")
 	}
-	if s := o.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
+	if s := o.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms)+len(s.Probes) != 0 {
 		t.Fatalf("nil obs snapshot: %+v", s)
 	}
 	var r *Registry

@@ -130,10 +130,12 @@ func (r *Ring) Total() uint64 {
 	return r.total
 }
 
-// Obs bundles a metrics registry with an optional trace ring — the handle
-// every layer of the node carries. A nil *Obs is fully inert; an Obs without
-// a ring meters but does not trace. Components that receive no Obs create a
-// private one so their Stats() snapshots keep working standalone.
+// Obs bundles a metrics registry with an optional trace ring, span tracer
+// and coverage-probe table — the one instrumentation handle every layer of
+// the node carries. A nil *Obs is fully inert; an Obs without a ring meters
+// but does not trace, and one without probes drops probe hits. Components
+// that receive no Obs create a private one so their Stats() snapshots keep
+// working standalone.
 type Obs struct {
 	reg    *Registry
 	ring   *Ring
@@ -164,6 +166,24 @@ func (o *Obs) WithTrace(capacity int) *Obs {
 func (o *Obs) WithSpans(capacity int, slowThreshold uint64) *Obs {
 	o.tracer = newTracer(o.reg, capacity, slowThreshold)
 	return o
+}
+
+// WithProbes turns on the coverage-probe table (§4.2) and returns o for
+// chaining. Harnesses turn it on; a production node leaves it off, so Hit
+// costs a nil check and the metrics snapshot carries no probes. Turn probes
+// on before handing the Obs to components.
+func (o *Obs) WithProbes() *Obs {
+	o.reg.probes = make(Probes)
+	return o
+}
+
+// Hit counts one hit of the named coverage probe. It is a no-op for a nil
+// Obs or one without probes.
+func (o *Obs) Hit(name string) {
+	if o == nil || o.reg.probes == nil {
+		return
+	}
+	o.reg.hit(name)
 }
 
 // Tracer returns the attached request-span tracer, or nil (also for a nil

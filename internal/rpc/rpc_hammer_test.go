@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -51,6 +52,40 @@ func TestMetricsOp(t *testing.T) {
 	}
 	if h := snap.Histograms["disk.write_lat"]; h.Count == 0 {
 		t.Fatal("disk.write_lat never observed — disk registry not merged")
+	}
+}
+
+// TestNodeProbesOff: a production node's Obs has the coverage-probe table
+// off, so a probe hit on the serving path allocates nothing and the metrics
+// reply carries no "probes" key — its bytes are what they were before probes
+// lived in obs.
+func TestNodeProbesOff(t *testing.T) {
+	ctx := context.Background()
+	srv, c := newTestServer(t, 1)
+	if err := c.Put(ctx, "p", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	kv, err := srv.kvForKey("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := kv.Obs()
+	if allocs := testing.AllocsPerRun(1000, func() { o.Hit("store.put") }); allocs != 0 {
+		t.Fatalf("Hit with probes off: %.1f allocs per call, want 0", allocs)
+	}
+	blob, err := json.Marshal(srv.metrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(blob, []byte(`"probes"`)) {
+		t.Fatalf("metrics reply carries a probes key: %s", blob)
+	}
+	snap, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Probes != nil || snap.Counters["store.puts"] != 1 {
+		t.Fatalf("metrics over the wire: probes=%v store.puts=%d", snap.Probes, snap.Counters["store.puts"])
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"shardstore/internal/coverage"
 	"shardstore/internal/disk"
 	"shardstore/internal/faults"
 	"shardstore/internal/store"
@@ -306,7 +305,6 @@ func newScrubServer(t *testing.T) (*store.Store, *disk.Disk, *Client) {
 		Disk:     dcfg,
 		Seed:     1,
 		Bugs:     set,
-		Coverage: coverage.NewRegistry(),
 		Replicas: 2,
 	})
 	if err != nil {

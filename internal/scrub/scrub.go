@@ -28,7 +28,6 @@ import (
 	"sort"
 
 	"shardstore/internal/chunk"
-	"shardstore/internal/coverage"
 	"shardstore/internal/dep"
 	"shardstore/internal/disk"
 	"shardstore/internal/faults"
@@ -142,7 +141,6 @@ type Scrubber struct {
 	mu   vsync.Mutex
 	host Host
 	cfg  Config
-	cov  *coverage.Registry
 	bugs *faults.Set
 	obs  *obs.Obs
 	met  scrubMetrics
@@ -155,7 +153,7 @@ type Scrubber struct {
 
 // New creates a scrubber over host. bugs selects seeded scrubber defects
 // (FaultScrubRepairUnverified); nil means the fixed code paths.
-func New(host Host, cfg Config, cov *coverage.Registry, bugs *faults.Set) *Scrubber {
+func New(host Host, cfg Config, bugs *faults.Set) *Scrubber {
 	if cfg.KeysPerStep <= 0 {
 		cfg.KeysPerStep = 8
 	}
@@ -163,7 +161,7 @@ func New(host Host, cfg Config, cov *coverage.Registry, bugs *faults.Set) *Scrub
 	if o == nil {
 		o = obs.New(nil)
 	}
-	return &Scrubber{host: host, cfg: cfg, cov: cov, bugs: bugs, obs: o, met: newScrubMetrics(o), lost: make(map[string]bool)}
+	return &Scrubber{host: host, cfg: cfg, bugs: bugs, obs: o, met: newScrubMetrics(o), lost: make(map[string]bool)}
 }
 
 // Stats returns a snapshot of the cumulative counters (reading the obs
@@ -214,7 +212,7 @@ func (s *Scrubber) Round() (Result, error) {
 	}
 	s.met.rounds.Inc()
 	s.met.roundDur.Observe(s.obs.Now() - start)
-	s.cov.Hit("scrub.round")
+	s.obs.Hit("scrub.round")
 	if s.obs.Tracing() {
 		s.obs.Record("scrub", "round", fmt.Sprintf("%d keys", res.KeysScanned), "ok", s.obs.Now()-start)
 	}
@@ -259,7 +257,7 @@ func (s *Scrubber) Step() (res Result, wrapped bool, err error) {
 	} else {
 		s.cursor = keys[next]
 	}
-	s.cov.Hit("scrub.step")
+	s.obs.Hit("scrub.step")
 	return res, wrapped, nil
 }
 
@@ -321,7 +319,7 @@ func (s *Scrubber) scrubKeyLocked(key string) Result {
 			if reps[i].bad {
 				res.BadReplicas++
 				s.met.badReplicas.Inc()
-				s.cov.Hit("scrub.bad_replica")
+				s.obs.Hit("scrub.bad_replica")
 				if s.obs.Tracing() {
 					s.obs.Record("scrub", "bad_replica", reps[i].loc.String(), "rot", 0)
 				}
@@ -353,13 +351,13 @@ func (s *Scrubber) scrubKeyLocked(key string) Result {
 			anyIrreparable = true
 			res.Irreparable++
 			s.met.irreparable.Inc()
-			s.cov.Hit("scrub.irreparable")
+			s.obs.Hit("scrub.irreparable")
 		}
 	}
 	if anyIrreparable {
 		if !s.lost[key] {
 			s.lost[key] = true
-			s.cov.Hit("scrub.lost_shard")
+			s.obs.Hit("scrub.lost_shard")
 			if s.obs.Tracing() {
 				s.obs.Record("scrub", "lost_shard", key, "irreparable", 0)
 			}
@@ -406,7 +404,7 @@ func (s *Scrubber) pickSource(reps []replica) *replica {
 		if h, err := chunk.ParseHeader(r.raw); err == nil && h.FrameLen() <= len(r.raw) {
 			start := headerFixedPrefix + h.KeyLen
 			if start+h.PayloadLen <= len(r.raw) {
-				s.cov.Hit("scrub.bug.unverified_source")
+				s.obs.Hit("scrub.bug.unverified_source")
 				cp := *r
 				cp.payload = append([]byte(nil), r.raw[start:start+h.PayloadLen]...)
 				return &cp
@@ -441,7 +439,7 @@ func (s *Scrubber) repairLocked(key string, reps []replica, i int, source *repli
 	newLoc, d, release, err := s.host.WriteRepair(key, source.payload, avoid)
 	if err != nil {
 		s.met.repairFailed.Inc()
-		s.cov.Hit("scrub.repair_failed")
+		s.obs.Hit("scrub.repair_failed")
 		return false
 	}
 	// Hold the pin across the swap so reclamation cannot evacuate the healed
@@ -450,20 +448,20 @@ func (s *Scrubber) repairLocked(key string, reps []replica, i int, source *repli
 	release()
 	if err != nil {
 		s.met.repairFailed.Inc()
-		s.cov.Hit("scrub.repair_failed")
+		s.obs.Hit("scrub.repair_failed")
 		return false
 	}
 	if !swapped {
 		// A concurrent put, delete, or reclamation changed the entry; the
 		// healed copy becomes garbage for a future reclamation.
 		s.met.swapLost.Inc()
-		s.cov.Hit("scrub.swap_lost")
+		s.obs.Hit("scrub.swap_lost")
 		return false
 	}
 	s.host.Quarantine(reps[i].loc)
 	s.met.repaired.Inc()
 	s.met.repairDur.Observe(s.obs.Now() - start)
-	s.cov.Hit("scrub.repaired")
+	s.obs.Hit("scrub.repaired")
 	if s.obs.Tracing() {
 		s.obs.Record("scrub", "repair", key, "ok", s.obs.Now()-start)
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"shardstore/internal/chunk"
-	"shardstore/internal/coverage"
 	"shardstore/internal/dep"
 	"shardstore/internal/disk"
 	"shardstore/internal/faults"
@@ -160,7 +159,7 @@ func newScrubber(h scrub.Host, bugs *faults.Set) *scrub.Scrubber {
 	if bugs == nil {
 		bugs = faults.NewSet()
 	}
-	return scrub.New(h, scrub.Config{}, coverage.NewRegistry(), bugs)
+	return scrub.New(h, scrub.Config{}, bugs)
 }
 
 func TestRoundRepairsFromSurvivor(t *testing.T) {
@@ -310,7 +309,7 @@ func TestStepRateLimitAndCursor(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.addShard(t, fmt.Sprintf("k%02d", i), []byte("v"), 1)
 	}
-	s := scrub.New(h, scrub.Config{KeysPerStep: 2}, coverage.NewRegistry(), faults.NewSet())
+	s := scrub.New(h, scrub.Config{KeysPerStep: 2}, faults.NewSet())
 	var scanned int
 	wraps := []bool{false, false, true}
 	for i, wantWrap := range wraps {
@@ -376,7 +375,6 @@ func newNode(t *testing.T, replicas int, bugs ...faults.Bug) (*store.Store, *dis
 		Disk:     dcfg,
 		Seed:     1,
 		Bugs:     set,
-		Coverage: coverage.NewRegistry(),
 		Replicas: replicas,
 	})
 	if err != nil {

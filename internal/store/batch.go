@@ -24,7 +24,7 @@ func (s *Store) PutBatch(ids []string, values [][]byte) []error {
 		vsync.Yield()
 	}
 	s.sched.Step() // one shared IO kick for the whole batch
-	s.cfg.Coverage.Hit("store.put_batch")
+	s.obs.Hit("store.put_batch")
 	return errs
 }
 
@@ -36,7 +36,7 @@ func (s *Store) GetBatch(ids []string) ([][]byte, []error) {
 		vals[i], errs[i] = s.Get(id)
 		vsync.Yield()
 	}
-	s.cfg.Coverage.Hit("store.get_batch")
+	s.obs.Hit("store.get_batch")
 	return vals, errs
 }
 
@@ -49,6 +49,6 @@ func (s *Store) DeleteBatch(ids []string) []error {
 		vsync.Yield()
 	}
 	s.sched.Step()
-	s.cfg.Coverage.Hit("store.delete_batch")
+	s.obs.Hit("store.delete_batch")
 	return errs
 }

@@ -6,13 +6,13 @@ import (
 	"fmt"
 	"testing"
 
-	"shardstore/internal/coverage"
 	"shardstore/internal/faults"
+	"shardstore/internal/obs"
 )
 
 func newBatchStore(t *testing.T) *Store {
 	t.Helper()
-	st, _, err := New(Config{Seed: 7, Bugs: faults.NewSet(), Coverage: coverage.NewRegistry()})
+	st, _, err := New(Config{Seed: 7, Bugs: faults.NewSet(), Obs: obs.New(nil).WithProbes()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestBatchCoverageAndInterfaces(t *testing.T) {
 	st.PutBatch([]string{"c"}, [][]byte{{1}})
 	st.GetBatch([]string{"c"})
 	st.DeleteBatch([]string{"c"})
-	hits := st.cfg.Coverage.Snapshot()
+	hits := st.obs.Snapshot().Probes
 	for _, point := range []string{"store.put_batch", "store.get_batch", "store.delete_batch"} {
 		if hits[point] == 0 {
 			t.Fatalf("coverage point %q never hit: %v", point, hits)

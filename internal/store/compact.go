@@ -39,7 +39,7 @@ func (s *Store) CompactStep() (bool, error) {
 	}
 	did, err := s.compactor.StepNoWait()
 	if err == nil && did {
-		s.cfg.Coverage.Hit("store.compact_step")
+		s.obs.Hit("store.compact_step")
 	}
 	return did, err
 }
@@ -87,7 +87,7 @@ func (s *Store) StartCompact(interval time.Duration) {
 			}
 		}
 	}()
-	s.cfg.Coverage.Hit("store.compact_loop_start")
+	s.obs.Hit("store.compact_loop_start")
 }
 
 // StopCompact stops the background compaction loop and waits for it to exit;

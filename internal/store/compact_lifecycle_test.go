@@ -68,6 +68,7 @@ func TestCompactStepAppliesUnderPressure(t *testing.T) {
 // loop runs.
 func TestCompactLoopStartStopIdempotent(t *testing.T) {
 	cfg := compactTestConfig(41)
+	cfg.Obs = obs.New(nil).WithProbes()
 	s, _ := mustOpen(t, cfg)
 	s.StartCompact(0) // disabled: no loop
 	s.StopCompact()   // safe with no loop
@@ -75,7 +76,7 @@ func TestCompactLoopStartStopIdempotent(t *testing.T) {
 	s.StartCompact(time.Millisecond) // idempotent while running
 	s.StopCompact()
 	s.StopCompact() // safe after stop
-	if hits := cfg.Coverage.Count("store.compact_loop_start"); hits != 1 {
+	if hits := cfg.Obs.Snapshot().Probes["store.compact_loop_start"]; hits != 1 {
 		t.Fatalf("loop started %d times, want 1", hits)
 	}
 }

@@ -41,7 +41,7 @@ func (s *Store) CleanShutdown() error {
 	s.mu.Lock()
 	s.inService = false
 	s.mu.Unlock()
-	s.cfg.Coverage.Hit("store.clean_shutdown")
+	s.obs.Hit("store.clean_shutdown")
 	return nil
 }
 
@@ -55,7 +55,7 @@ func (s *Store) Crash(rng *rand.Rand) (kept, lost []disk.PageAddr) {
 	s.mu.Lock()
 	s.inService = false
 	s.mu.Unlock()
-	s.cfg.Coverage.Hit("store.crash")
+	s.obs.Hit("store.crash")
 	return s.sched.Crash(rng)
 }
 
@@ -95,7 +95,7 @@ func (s *Store) List() ([]string, error) {
 			s.mu.Unlock()
 			vsync.Yield()
 		}
-		s.cfg.Coverage.Hit("store.bug13.racy_list")
+		s.obs.Hit("store.bug13.racy_list")
 		return out, nil
 	}
 	s.mu.Lock()
@@ -118,7 +118,7 @@ func (s *Store) BulkCreate(ids []string, values [][]byte) (*dep.Dependency, erro
 		d = d.And(pd)
 		vsync.Yield()
 	}
-	s.cfg.Coverage.Hit("store.bulk_create")
+	s.obs.Hit("store.bulk_create")
 	return d, nil
 }
 
@@ -157,7 +157,7 @@ func (s *Store) BulkRemove(ids []string) (*dep.Dependency, error) {
 					return nil, err
 				}
 				d = d.And(dd)
-				s.cfg.Coverage.Hit("store.bug16.positional_delete")
+				s.obs.Hit("store.bug16.positional_delete")
 			} else {
 				s.mu.Unlock()
 			}
@@ -170,7 +170,7 @@ func (s *Store) BulkRemove(ids []string) (*dep.Dependency, error) {
 		d = d.And(dd)
 		vsync.Yield()
 	}
-	s.cfg.Coverage.Hit("store.bulk_remove")
+	s.obs.Hit("store.bulk_remove")
 	return d, nil
 }
 
@@ -187,7 +187,7 @@ func (s *Store) RemoveFromService() error {
 		s.mu.Lock()
 		s.inService = false
 		s.mu.Unlock()
-		s.cfg.Coverage.Hit("store.bug4.skip_flush")
+		s.obs.Hit("store.bug4.skip_flush")
 		return nil
 	}
 	return s.CleanShutdown()
@@ -206,7 +206,7 @@ func (s *Store) ReturnToService() (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: return to service: %w", err)
 	}
-	s.cfg.Coverage.Hit("store.return_to_service")
+	s.obs.Hit("store.return_to_service")
 	return ns, nil
 }
 
@@ -271,7 +271,7 @@ func (r dataResolver) RelocateChunk(key string, old, newLoc chunk.Locator, newDe
 	if err != nil {
 		return false, nil, err
 	}
-	s.cfg.Coverage.Hit("store.chunk_relocated")
+	s.obs.Hit("store.chunk_relocated")
 	return true, d, nil
 }
 

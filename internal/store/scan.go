@@ -48,7 +48,7 @@ func (s *Store) scanInner(start, end string, limit int) ([]ScanEntry, bool, erro
 			// relocated the chunks): retry through the point-read path, which
 			// refreshes locators via the index. A shard deleted since the
 			// snapshot simply drops out of the page.
-			s.cfg.Coverage.Hit("store.scan.reread")
+			s.obs.Hit("store.scan.reread")
 			data, derr = s.getInner(e.Key)
 			if errors.Is(derr, ErrNotFound) {
 				continue
@@ -59,6 +59,6 @@ func (s *Store) scanInner(start, end string, limit int) ([]ScanEntry, bool, erro
 		}
 		out = append(out, ScanEntry{Key: e.Key, Value: data})
 	}
-	s.cfg.Coverage.Hit("store.scan")
+	s.obs.Hit("store.scan")
 	return out, more, nil
 }

@@ -62,7 +62,7 @@ func (s *Store) ScrubRound() (scrub.Result, error) {
 	}
 	res, err := s.scrubber.Round()
 	if err == nil {
-		s.cfg.Coverage.Hit("store.scrub_round")
+		s.obs.Hit("store.scrub_round")
 	}
 	if err == nil && res.Repaired > 0 {
 		// Repairs rewrote chunks and swapped index locators; make them
@@ -77,7 +77,7 @@ func (s *Store) ScrubRound() (scrub.Result, error) {
 		if werr := s.WaitDurable(fd); werr != nil {
 			return res, werr
 		}
-		s.cfg.Coverage.Hit("store.scrub_repair_committed")
+		s.obs.Hit("store.scrub_repair_committed")
 	}
 	return res, err
 }
@@ -122,7 +122,7 @@ func (s *Store) StartScrub(interval time.Duration) {
 			}
 		}
 	}()
-	s.cfg.Coverage.Hit("store.scrub_loop_start")
+	s.obs.Hit("store.scrub_loop_start")
 }
 
 // StopScrub stops the background scrub loop and waits for it to exit; no

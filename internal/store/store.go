@@ -19,7 +19,6 @@ import (
 
 	"shardstore/internal/chunk"
 	"shardstore/internal/compact"
-	"shardstore/internal/coverage"
 	"shardstore/internal/dep"
 	"shardstore/internal/disk"
 	"shardstore/internal/extent"
@@ -46,10 +45,6 @@ type Config struct {
 	Disk disk.Config
 	// Seed drives all internal randomness deterministically.
 	Seed int64
-	// MaxChunkPayload splits shard values into chunks of at most this many
-	// bytes (§2.1: "a single shard comprises one or more chunks depending on
-	// its size"). Zero selects a default of 1.5 pages.
-	MaxChunkPayload int
 	// Replicas writes each data chunk to this many distinct extents
 	// (intra-host redundancy, the raw material scrub repair works with).
 	// Zero or one means a single copy. Replication covers shard data only;
@@ -68,28 +63,22 @@ type Config struct {
 	AutoFlushThreshold int
 	// StagingTokens bounds staged superblock mutations (bug #12 pool).
 	StagingTokens int
-	// UUIDGen optionally overrides chunk UUID generation (§4.2 biasing).
-	UUIDGen func() chunk.UUID
 	// UUIDZeroBias biases chunk UUIDs toward all-zeros (see chunk.Config).
 	UUIDZeroBias float64
 	// Bugs selects seeded faults; nil means all fixed.
 	Bugs *faults.Set
-	// Coverage optionally records probe hits.
-	Coverage *coverage.Registry
 	// Obs is the node-wide observability registry: every layer (disk, cache,
-	// chunk, LSM, scrub, store) resolves its metric handles from it, and its
-	// optional trace ring receives the cross-layer event trail. Nil gives the
-	// node a private registry on a logical clock, so per-layer Stats keep
-	// working standalone and harness runs stay deterministic.
+	// chunk, LSM, scrub, store) resolves its metric handles from it and counts
+	// its coverage probes in it, and its optional trace ring receives the
+	// cross-layer event trail. Nil gives the node a private registry on a
+	// logical clock, so per-layer Stats keep working standalone and harness
+	// runs stay deterministic.
 	Obs *obs.Obs
 }
 
 func (c Config) withDefaults() Config {
 	if c.Disk.PageSize == 0 {
 		c.Disk = disk.DefaultConfig()
-	}
-	if c.MaxChunkPayload <= 0 {
-		c.MaxChunkPayload = c.Disk.PageSize + c.Disk.PageSize/2
 	}
 	if c.CacheCapacity == 0 {
 		c.CacheCapacity = 32
@@ -175,18 +164,17 @@ type Store struct {
 // formatted; a disk with a valid superblock is recovered from it.
 func Open(d *disk.Disk, cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
-	cov := cfg.Coverage
 	bugs := cfg.Bugs
-	sched := dep.NewSchedulerOpts(d, cov, dep.Options{Obs: cfg.Obs, Bugs: bugs})
+	sched := dep.NewScheduler(d, dep.Options{Obs: cfg.Obs, Bugs: bugs})
 	em, err := extent.Recover(sched, extent.Config{
 		AutoFlushThreshold: cfg.AutoFlushThreshold,
 		StagingTokens:      cfg.StagingTokens,
-	}, cov, bugs)
+	}, bugs)
 	if err != nil {
 		return nil, err
 	}
-	cs := chunk.NewStore(em, chunk.Config{UUIDGen: cfg.UUIDGen, UUIDZeroBias: cfg.UUIDZeroBias, CacheCapacity: cfg.CacheCapacity, Obs: cfg.Obs}, cfg.Seed, cov, bugs)
-	ms, err := lsm.NewExtentMetaStore(sched, extent.MetaExtent, lsm.MaxMetaPayload(cfg.MaxRuns), cov)
+	cs := chunk.NewStore(em, chunk.Config{UUIDZeroBias: cfg.UUIDZeroBias, CacheCapacity: cfg.CacheCapacity, Obs: cfg.Obs}, cfg.Seed, bugs)
+	ms, err := lsm.NewExtentMetaStore(sched, extent.MetaExtent, lsm.MaxMetaPayload(cfg.MaxRuns))
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +183,7 @@ func Open(d *disk.Disk, cfg Config) (*Store, error) {
 		MaxMemEntries: cfg.MaxMemEntries,
 		ResetHappened: em.ResetHappened,
 		Obs:           cfg.Obs,
-	}, cov, bugs)
+	}, bugs)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +200,7 @@ func Open(d *disk.Disk, cfg Config) (*Store, error) {
 	}
 	cs.RegisterResolver(chunk.TagIndexRun, lsm.RunResolver{Tree: idx})
 	cs.RegisterResolver(chunk.TagData, dataResolver{s: s})
-	s.scrubber = scrub.New(scrubHost{s: s}, scrub.Config{Obs: cfg.Obs}, cov, bugs)
+	s.scrubber = scrub.New(scrubHost{s: s}, scrub.Config{Obs: cfg.Obs}, bugs)
 	s.compactor = compact.New(compactHost{s: s}, cfg.Compact, cfg.Obs)
 	keys, err := idx.Keys()
 	if err != nil {
@@ -220,16 +208,13 @@ func Open(d *disk.Disk, cfg Config) (*Store, error) {
 	}
 	s.catalog = keys
 	s.met.shardCount.Set(int64(len(keys)))
-	cov.Hit("store.open")
+	s.obs.Hit("store.open")
 	return s, nil
 }
 
 // New creates a fresh disk from cfg.Disk and opens a store on it.
 func New(cfg Config) (*Store, *disk.Disk, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Disk.Coverage == nil {
-		cfg.Disk.Coverage = cfg.Coverage
-	}
 	d, err := disk.New(cfg.Disk)
 	if err != nil {
 		return nil, nil, err
@@ -401,7 +386,7 @@ func (s *Store) putInner(shardID string, data []byte) (*dep.Dependency, error) {
 			r()
 		}
 	}()
-	pieces := splitValue(data, s.cfg.MaxChunkPayload)
+	pieces := splitValue(data, s.maxChunkPayload())
 	for _, piece := range pieces {
 		group := make([]chunk.Locator, 0, s.cfg.Replicas)
 		var used []disk.ExtentID
@@ -418,7 +403,7 @@ func (s *Store) putInner(shardID string, data []byte) (*dep.Dependency, error) {
 		groups = append(groups, group)
 	}
 	if s.cfg.Replicas > 1 {
-		s.cfg.Coverage.Hit("store.put.replicated")
+		s.obs.Hit("store.put.replicated")
 	}
 	// The index entry is ordered after the shard data (Fig 2). The entry
 	// write must happen under the store lock: reclamation's relocation path
@@ -435,9 +420,14 @@ func (s *Store) putInner(shardID string, data []byte) (*dep.Dependency, error) {
 	s.catalogInsertLocked(shardID)
 	s.met.shardCount.Set(int64(len(s.catalog)))
 	s.mu.Unlock()
-	s.cfg.Coverage.Hit("store.put")
+	s.obs.Hit("store.put")
 	return dataDep.And(idxDep), nil
 }
+
+// maxChunkPayload is the largest chunk a shard value is split into: 1.5
+// pages (§2.1: "a single shard comprises one or more chunks depending on its
+// size").
+func (s *Store) maxChunkPayload() int { return s.cfg.Disk.PageSize + s.cfg.Disk.PageSize/2 }
 
 // splitValue cuts data into max-sized pieces; an empty value still gets one
 // empty chunk so the shard exists on disk.
@@ -498,17 +488,17 @@ func (s *Store) getInner(shardID string) ([]byte, error) {
 		}
 		data, err := s.readChunks(shardID, groups)
 		if err == nil {
-			s.cfg.Coverage.Hit("store.get")
+			s.obs.Hit("store.get")
 			return data, nil
 		}
 		lastErr = err
 		if s.bugs().Enabled(faults.Bug11WriteFlushRace) {
 			// Seeded bug #11: no validation retry; a stale locator's data is
 			// returned (or failed) as-is.
-			s.cfg.Coverage.Hit("store.bug11.no_retry")
+			s.obs.Hit("store.bug11.no_retry")
 			break
 		}
-		s.cfg.Coverage.Hit("store.get.retry")
+		s.obs.Hit("store.get.retry")
 		vsync.Yield()
 	}
 	return nil, fmt.Errorf("store: shard %q: %w", shardID, lastErr)
@@ -539,12 +529,12 @@ func (s *Store) readChunks(shardID string, groups [][]chunk.Locator) ([]byte, er
 			}
 			if owner != shardID && !bug11 {
 				s.cs.InvalidateCached(loc)
-				s.cfg.Coverage.Hit("store.get.key_mismatch")
+				s.obs.Hit("store.get.key_mismatch")
 				lastErr = fmt.Errorf("store: locator %v owned by %q, want %q", loc, owner, shardID)
 				continue
 			}
 			if ri > 0 {
-				s.cfg.Coverage.Hit("store.get.replica_fallback")
+				s.obs.Hit("store.get.replica_fallback")
 			}
 			payload = p
 			ok = true
@@ -598,7 +588,7 @@ func (s *Store) deleteInner(shardID string) (*dep.Dependency, error) {
 	s.catalogRemoveLocked(shardID)
 	s.met.shardCount.Set(int64(len(s.catalog)))
 	s.mu.Unlock()
-	s.cfg.Coverage.Hit("store.delete")
+	s.obs.Hit("store.delete")
 	return d, nil
 }
 
@@ -651,7 +641,7 @@ func (s *Store) FlushSuperblock() (*dep.Dependency, error) { return s.em.Flush()
 func (s *Store) Reclaim(ext disk.ExtentID) error {
 	err := s.cs.Reclaim(ext)
 	if err == nil {
-		s.cfg.Coverage.Hit("store.reclaim")
+		s.obs.Hit("store.reclaim")
 	}
 	return err
 }

@@ -5,17 +5,15 @@ import (
 	"math/rand"
 	"testing"
 
-	"shardstore/internal/coverage"
 	"shardstore/internal/disk"
 	"shardstore/internal/faults"
 )
 
 func testConfig(seed int64) Config {
 	return Config{
-		Disk:     disk.DefaultConfig(),
-		Seed:     seed,
-		Bugs:     faults.NewSet(),
-		Coverage: coverage.NewRegistry(),
+		Disk: disk.DefaultConfig(),
+		Seed: seed,
+		Bugs: faults.NewSet(),
 	}
 }
 
@@ -396,7 +394,7 @@ func TestGetResultIsCallerOwned(t *testing.T) {
 	want := map[string][]byte{
 		"a-one":   pattern(100, 1),
 		"b-multi": pattern(700, 2),
-		"c-exact": pattern(2*s.cfg.MaxChunkPayload, 3),
+		"c-exact": pattern(2*s.maxChunkPayload(), 3),
 	}
 	for k, v := range want {
 		if _, err := s.Put(k, v); err != nil {

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI gate for the repo: vet, build, full test suite, then the race detector
-# over the packages with real concurrency (the worker-pool harness, the
-# coverage registry, and the pluggable sync layer). The full `go test ./...`
-# is 75-80 s on a 2-vCPU runner, nearly all of it internal/core (66 s when it
-# runs alone).
+# over the packages with real concurrency (the worker-pool harness, the obs
+# registry and its coverage-probe table, and the pluggable sync layer). The
+# full `go test ./...` is 75-80 s on a 2-vCPU runner, nearly all of it
+# internal/core (66 s when it runs alone).
 #
 # The -race pass builds with the `race` tag, which makes the long
 # deterministic bug-hunt suites skip themselves (see
@@ -51,8 +51,8 @@ go test -run 'TestLockDiscipline' -count=1 ./internal/shuttle/
 go test -run 'TestConcurrencyHarnessesCleanBaseline|TestDetectConcurrencyBugs' -count=1 ./internal/core/
 go test -run 'TestShuttleGroupCommit' -count=1 ./internal/dep/
 
-echo "== go test -race (core, coverage, vsync, scrub)"
-go test -race -timeout 600s ./internal/core/... ./internal/coverage/... ./internal/vsync/... ./internal/scrub/...
+echo "== go test -race (core, vsync, scrub)"
+go test -race -timeout 600s ./internal/core/... ./internal/vsync/... ./internal/scrub/...
 
 echo "== go test -race (obs + rpc: registry hot paths vs snapshot/metrics readers)"
 go test -race -timeout 300s ./internal/obs/... ./internal/rpc/...

@@ -564,7 +564,7 @@ func BenchmarkCrashStates(b *testing.B) {
 			cfg := core.Config{
 				Seed: 21, Cases: b.N, OpsPerCase: 30, Bias: core.DefaultBias(),
 				EnableCrashes: true, EnableReboots: true,
-				ExhaustiveCrash: mode.exhaustive, ExhaustiveCap: 64,
+				ExhaustiveCrash: mode.exhaustive,
 			}
 			res := core.Run(cfg)
 			if res.Failure != nil {

@@ -11,8 +11,6 @@
 package buffercache
 
 import (
-	"fmt"
-
 	"shardstore/internal/disk"
 	"shardstore/internal/obs"
 	"shardstore/internal/vsync"
@@ -159,9 +157,6 @@ func (c *Cache) DrainExtent(ext disk.ExtentID) {
 		}
 	}
 	c.met.entries.Set(int64(len(c.entries)))
-	if c.obs.Tracing() {
-		c.obs.Record("cache", "drain_extent", fmt.Sprintf("e%d", ext), "ok", 0)
-	}
 }
 
 // DrainAll empties the cache.

@@ -57,9 +57,6 @@ func (s *Store) Reclaim(victim disk.ExtentID) error {
 	s.reclaiming[victim] = true
 	s.mu.Unlock()
 	s.met.reclaims.Inc()
-	if s.obs.Tracing() {
-		s.obs.Record("chunk", "reclaim_begin", fmt.Sprintf("e%d", victim), "ok", 0)
-	}
 	var bg *obs.BgSpan
 	if tr := s.obs.Tracer(); tr != nil {
 		bg = tr.Background("chunk", fmt.Sprintf("reclaim e%d", victim))
@@ -74,9 +71,6 @@ func (s *Store) Reclaim(victim disk.ExtentID) error {
 			s.met.reclaimAborts.Inc()
 		}
 		s.met.reclaimDur.Observe(s.obs.Now() - start)
-		if s.obs.Tracing() {
-			s.obs.Record("chunk", "reclaim_end", fmt.Sprintf("e%d", victim), obs.Outcome(err), s.obs.Now()-start)
-		}
 		return err
 	}
 

@@ -391,9 +391,6 @@ func (s *Store) put(tag Tag, key string, payload []byte, forEvacuation bool, avo
 	s.mu.Unlock()
 	s.met.puts.Inc()
 	s.met.putLat.Observe(s.obs.Now() - start)
-	if s.obs.Tracing() {
-		s.obs.Record("chunk", "put", loc.String(), "ok", s.obs.Now()-start)
-	}
 
 	released := false
 	release := func() {
@@ -428,9 +425,6 @@ func (s *Store) GetWithKey(loc Locator) ([]byte, string, error) {
 	} else {
 		s.met.gets.Inc()
 		s.met.getLat.Observe(s.obs.Now() - start)
-	}
-	if s.obs.Tracing() {
-		s.obs.Record("chunk", "get", loc.String(), obs.Outcome(err), s.obs.Now()-start)
 	}
 	return payload, key, err
 }
@@ -494,8 +488,8 @@ func (s *Store) Quarantine(loc Locator) {
 		s.quarantined[loc] = true
 		s.met.quarantined.Inc()
 		s.obs.Hit("chunk.quarantine")
-		if s.obs.Tracing() {
-			s.obs.Record("chunk", "quarantine", loc.String(), "ok", 0)
+		if tr := s.obs.Tracer(); tr != nil {
+			tr.Background("chunk", "quarantine "+loc.String()).End()
 		}
 	}
 }

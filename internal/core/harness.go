@@ -61,11 +61,9 @@ type Config struct {
 	EnableCorruption bool
 	// ExhaustiveCrash enumerates block-level crash states at each
 	// DirtyReboot instead of sampling one (§5, the BOB/CrashMonkey-style
-	// variant). Exponential in dirty pages; bounded by ExhaustiveCap.
+	// variant). Exponential in dirty pages; bounded at exhaustiveCap (64)
+	// states per reboot.
 	ExhaustiveCrash bool
-	// ExhaustiveCap bounds the enumerated crash states per reboot (default
-	// 256).
-	ExhaustiveCap int
 	// Minimize shrinks failing sequences (§4.3). Default true via Run.
 	Minimize bool
 	// Workers is the number of pool workers cases fan out across (see
@@ -81,6 +79,9 @@ const (
 	// invariantEvery is how many ops pass between full model/implementation
 	// equivalence checks; a sequence always ends with one.
 	invariantEvery = 4
+	// exhaustiveCap bounds the crash states ExhaustiveCrash enumerates per
+	// reboot.
+	exhaustiveCap = 64
 )
 
 func (c Config) withDefaults() Config {
@@ -92,9 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.OpsPerCase == 0 {
 		c.OpsPerCase = 40
-	}
-	if c.ExhaustiveCap == 0 {
-		c.ExhaustiveCap = 256
 	}
 	if c.StoreConfig.Disk.PageSize == 0 {
 		c.StoreConfig.Disk = disk.DefaultConfig()
@@ -127,21 +125,24 @@ type Failure struct {
 	// MinimizedErr is the violation the minimized sequence produces (it may
 	// differ in wording from Err while exposing the same bug).
 	MinimizedErr error
-	// Trace is the node's execution trail for the minimized sequence: after
-	// minimization the harness replays it once more with a trace ring
-	// attached, so the counterexample ships with the IO it actually issued.
-	// TraceTruncated counts earlier events the ring overwrote.
-	Trace          []obs.Event
+	// Trace is the minimized sequence replayed once more with spans on: one
+	// span per op (covering the op and the invariant check that follows it)
+	// plus a final "check" span. Background windows — syncs, reclamation,
+	// compaction, scrub, injected faults, rot, crashes — are stamped on the
+	// op they overlapped, and the span where the violation surfaced carries
+	// its full text as a "harness" note. TraceTruncated counts spans the
+	// tracer overwrote (0: the replay's tracer holds every span).
+	Trace          []obs.ReqTrace
 	TraceTruncated uint64
 }
 
-// FormatTrace renders the failure's trace (empty string when none was
-// captured).
+// FormatTrace renders the failure's trace in logical-clock ticks (empty
+// string when none was captured).
 func (f *Failure) FormatTrace() string {
 	if f == nil || len(f.Trace) == 0 {
 		return ""
 	}
-	return obs.FormatTrace(f.Trace, f.TraceTruncated)
+	return obs.FormatTraceDump(f.Trace, f.TraceTruncated, obs.UnitTicks)
 }
 
 // Result summarizes a conformance run.
@@ -207,14 +208,14 @@ func Run(cfg Config) Result {
 				f.MinimizedErr = merr
 			}
 		}
-		// Replay the minimized counterexample once more with a trace ring
-		// attached so the report carries the node's actual execution trail.
-		// Observability is verdict-transparent (the determinism gate enforces
-		// it), so this replay reproduces the same violation.
+		// Replay the minimized counterexample once more with spans on, one
+		// per op plus the final check, so the report says which layers each
+		// op touched. Tracing is verdict-transparent (the determinism gate
+		// enforces it), so this replay reproduces the same violation.
 		tcfg := cfg
-		tcfg.StoreConfig.Obs = obs.New(nil).WithTrace(obs.DefaultRingEvents)
+		tcfg.StoreConfig.Obs = obs.New(nil).WithSpans(len(f.Minimized)+1, 0)
 		RunSeq(f.Minimized, tcfg)
-		f.Trace, f.TraceTruncated = tcfg.StoreConfig.Obs.TraceRing().Dump()
+		f.Trace, f.TraceTruncated = tcfg.StoreConfig.Obs.Tracer().Completed()
 		res.Failure = f
 	}
 	return res
@@ -290,31 +291,52 @@ func runSeqDisk(ctx context.Context, seq []Op, cfg Config) (int, int, *disk.Disk
 	}
 	es := &execState{cfg: cfg, d: d, st: st, ref: model.NewRefStore(cfg.StoreConfig.Bugs), inService: true,
 		consumedBase: d.Stats().InjectedErrs}
-	tracer := cfg.StoreConfig.Obs
+	tr := cfg.StoreConfig.Obs.Tracer()
 	for i, op := range seq {
 		if cerr := ctx.Err(); cerr != nil {
 			return es.opsRun, es.crashes, es.d, fmt.Errorf("%w: %w", errCaseCancelled, cerr)
 		}
-		if err := es.apply(op); err != nil {
-			if tracer.Tracing() {
-				tracer.Record("harness", "op", op.String(), obs.Outcome(err), 0)
-			}
-			return es.opsRun, es.crashes, es.d, fmt.Errorf("op %d %s: %w", i, op, err)
+		var sp *obs.Span
+		if tr != nil {
+			sp = tr.Start(0, op.String(), "")
 		}
-		if tracer.Tracing() {
-			tracer.Record("harness", "op", op.String(), "ok", 0)
-		}
-		es.opsRun++
-		if (i+1)%invariantEvery == 0 {
-			if err := es.checkInvariants(); err != nil {
-				return es.opsRun, es.crashes, es.d, fmt.Errorf("after op %d %s: %w", i, op, err)
-			}
+		err := es.step(i, op)
+		finishSpan(sp, err)
+		if err != nil {
+			return es.opsRun, es.crashes, es.d, err
 		}
 	}
-	if err := es.checkInvariants(); err != nil {
-		return es.opsRun, es.crashes, es.d, fmt.Errorf("final check: %w", err)
+	sp := tr.Start(0, "check", "")
+	err = es.checkInvariants()
+	if err != nil {
+		err = fmt.Errorf("final check: %w", err)
 	}
-	return es.opsRun, es.crashes, es.d, nil
+	finishSpan(sp, err)
+	return es.opsRun, es.crashes, es.d, err
+}
+
+// step applies seq[i] = op and, every invariantEvery ops, the full
+// equivalence check, returning the violation wrapped with the op it follows.
+func (es *execState) step(i int, op Op) error {
+	if err := es.apply(op); err != nil {
+		return fmt.Errorf("op %d %s: %w", i, op, err)
+	}
+	es.opsRun++
+	if (i+1)%invariantEvery == 0 {
+		if err := es.checkInvariants(); err != nil {
+			return fmt.Errorf("after op %d %s: %w", i, op, err)
+		}
+	}
+	return nil
+}
+
+// finishSpan closes a harness span, first annotating it with the violation
+// that surfaced in it.
+func finishSpan(sp *obs.Span, err error) {
+	if sp != nil && err != nil {
+		sp.Annotate("harness", err.Error())
+	}
+	sp.Finish()
 }
 
 // reopen recovers a store on the disk, retrying a few times because a
@@ -816,14 +838,14 @@ func (es *execState) dirtyReboot(op Op) error {
 }
 
 // exhaustiveCrash enumerates block-level crash states (§5): every subset of
-// the dirty pages (up to ExhaustiveCap), checking recovery + the persistence
+// the dirty pages (up to exhaustiveCap), checking recovery + the persistence
 // property in each, then continues execution from the last state.
 func (es *execState) exhaustiveCrash(op Op) error {
 	dirty := es.d.DirtyPages()
 	n := len(dirty)
 	subsets := 1 << uint(minInt(n, 20))
-	if subsets > es.cfg.ExhaustiveCap {
-		subsets = es.cfg.ExhaustiveCap
+	if subsets > exhaustiveCap {
+		subsets = exhaustiveCap
 	}
 	snap := es.d.Snapshot()
 	for mask := 0; mask < subsets; mask++ {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"shardstore/internal/disk"
@@ -13,12 +14,12 @@ import (
 )
 
 // runGateOnce executes one generated sequence and returns its verdict plus
-// the final disk, with or without observability attached.
+// the final disk, on the harness's own Obs or a caller-supplied metrics-only one.
 func runGateOnce(cfg Config, seed int64, withObs bool) (int, int, *disk.Disk, error, *obs.Obs) {
 	ccfg := cfg
 	var o *obs.Obs
 	if withObs {
-		o = obs.New(nil).WithTrace(obs.DefaultRingEvents)
+		o = obs.New(nil)
 		ccfg.StoreConfig.Obs = o
 	}
 	seq := GenerateSeq(rand.New(rand.NewSource(seed)), ccfg)
@@ -27,11 +28,12 @@ func runGateOnce(cfg Config, seed int64, withObs bool) (int, int, *disk.Disk, er
 }
 
 // TestObservabilityDeterminismGate enforces the transparency property the
-// tracing layer is built around: attaching a metrics registry and a trace
-// ring to the node must not change any harness verdict or any on-disk byte.
-// Each seed's sequence runs twice — observability off, then on with a trace
-// ring — and the gate diffs (ops applied, crashes taken, violation text) and
-// the final durable disk images. CI runs this test by name as the
+// observability layer is built around: attaching a metrics registry to the
+// node must not change any harness verdict or any on-disk byte. Each seed's
+// sequence runs twice — on the harness's own Obs, then on a caller-supplied
+// metrics-only one — and the gate diffs (ops applied, crashes taken,
+// violation text) and the final durable disk images. Spans are
+// TestTraceDeterminismGate's half. CI runs this test by name as the
 // "determinism gate" leg.
 func TestObservabilityDeterminismGate(t *testing.T) {
 	modes := []struct {
@@ -92,29 +94,76 @@ func TestObservabilityDeterminismGate(t *testing.T) {
 }
 
 // TestFailureCarriesTrace: when the fleet finds a violation, the minimized
-// counterexample must arrive with the replayed execution trail attached.
+// counterexample arrives with its replayed trail — one span per minimized op
+// in order, plus a "check" span when the violation surfaced in the final
+// check, nothing overwritten — and the span where the violation surfaced
+// carries its full text, so the traced replay provably reproduced the
+// verdict. Bug #2 (cache not drained on extent reset) at seed 7 minimizes to
+// 20 ops and surfaces in the periodic check after the last one, after a
+// reclamation recycled extent 3; that op's span names the reclamation
+// window. The rendered report is the same at any worker count.
 func TestFailureCarriesTrace(t *testing.T) {
-	cfg := DetectionConfig(faults.Bug2CacheNotDrained, 7)
-	cfg.Cases = 400
-	res := Run(cfg)
-	if res.Failure == nil {
-		t.Skip("seeded bug not detected within budget; trace attachment exercised elsewhere")
+	report := func(workers int) *Failure {
+		cfg := DetectionConfig(faults.Bug2CacheNotDrained, 7)
+		cfg.Cases = 400
+		cfg.Workers = workers
+		res := Run(cfg)
+		if res.Failure == nil {
+			t.Fatalf("workers=%d: bug #2 not detected within %d cases at seed 7", workers, cfg.Cases)
+		}
+		return res.Failure
 	}
-	if len(res.Failure.Trace) == 0 {
-		t.Fatal("failure has no trace attached")
+	f := report(1)
+	if f.Case != 31 || len(f.Minimized) != 20 {
+		t.Fatalf("bug #2 at seed 7: case %d minimized to %d ops, want case 31, 20 ops", f.Case, len(f.Minimized))
 	}
-	sawHarness := false
-	for _, ev := range res.Failure.Trace {
-		if ev.Layer == "harness" {
-			sawHarness = true
-			break
+	if f.TraceTruncated != 0 {
+		t.Fatalf("trace truncated: %d spans overwritten", f.TraceTruncated)
+	}
+	want := make([]string, 0, len(f.Minimized)+1)
+	for _, op := range f.Minimized {
+		want = append(want, op.String())
+	}
+	if strings.HasPrefix(f.MinimizedErr.Error(), "final check:") {
+		want = append(want, "check")
+	}
+	var got []string
+	for _, tr := range f.Trace {
+		got = append(got, tr.Op)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("trace spans do not follow the minimized ops:\n got  %q\n want %q", got, want)
+	}
+
+	var violations []string
+	for _, tr := range f.Trace {
+		for _, n := range tr.Notes {
+			if n.Layer == "harness" {
+				violations = append(violations, n.Note)
+			}
 		}
 	}
-	if !sawHarness {
-		t.Fatal("trace has no harness-layer op events")
+	if len(violations) != 1 || violations[0] != f.MinimizedErr.Error() {
+		t.Fatalf("harness notes %q, want exactly the minimized violation %q", violations, f.MinimizedErr)
 	}
-	if out := res.Failure.FormatTrace(); out == "" {
-		t.Fatal("FormatTrace returned empty output for non-empty trace")
+
+	reclaimed := false
+	for _, tr := range f.Trace {
+		if tr.Op != "Reclaim(extent 3)" {
+			continue
+		}
+		for _, n := range tr.Notes {
+			if n.Layer == "chunk" && n.Note == "reclaim e3" {
+				reclaimed = true
+			}
+		}
+	}
+	if !reclaimed {
+		t.Fatalf("no Reclaim(extent 3) span carries the chunk reclaim e3 window:\n%s", f.FormatTrace())
+	}
+
+	if one, four := f.FormatTrace(), report(4).FormatTrace(); one != four {
+		t.Fatalf("report differs between 1 and 4 workers:\n--- 1 ---\n%s--- 4 ---\n%s", one, four)
 	}
 }
 

@@ -12,12 +12,13 @@ import (
 )
 
 // TestTraceDeterminismGate extends the observability transparency gate to
-// request-span tracing: attaching a span tracer (which adds clock reads and
-// background-activity windows on the disk-sync, compaction, scrub, and
-// reclamation paths) must not change any harness verdict or any durable
-// disk byte. Each seed's sequence runs twice — once bare, once with the
-// full tracing stack (event ring + span tracer with a slow log) — and the
-// gate diffs progress, verdict text, and the final durable disk images.
+// request-span tracing: attaching a span tracer (which adds the harness's
+// per-op spans, clock reads, background-activity windows on the disk-sync,
+// compaction, scrub, and reclamation paths, and the zero-length windows
+// stamped for injected faults, rot, crashes, quarantines, and scrub
+// verdicts) must not change any harness verdict or any durable disk byte.
+// Each seed's sequence runs twice — spans off, then on with a slow log — and
+// the gate diffs progress, verdict text, and the final durable disk images.
 // CI runs this test by name as the "trace determinism gate" leg.
 func TestTraceDeterminismGate(t *testing.T) {
 	modes := []struct {
@@ -49,7 +50,7 @@ func TestTraceDeterminismGate(t *testing.T) {
 		ccfg := cfg
 		var o *obs.Obs
 		if withSpans {
-			o = obs.New(nil).WithTrace(obs.DefaultRingEvents).WithSpans(64, 2)
+			o = obs.New(nil).WithSpans(64, 2)
 			ccfg.StoreConfig.Obs = o
 		}
 		seq := GenerateSeq(rand.New(rand.NewSource(seed)), ccfg)
@@ -76,8 +77,9 @@ func TestTraceDeterminismGate(t *testing.T) {
 				if !disk.DurableEqual(dOff, dOn) {
 					t.Fatalf("seed %d: final durable disk images differ with span tracing enabled", seed)
 				}
-				// Guard against a vacuous gate: the tracer must be live and
-				// the instrumented run must have metered real work.
+				// Guard against a vacuous gate: the tracer must be live, the
+				// harness must have opened a span per applied op, and the
+				// instrumented run must have metered real work.
 				if o.Tracer() == nil {
 					t.Fatalf("seed %d: span tracer not attached", seed)
 				}
@@ -85,11 +87,14 @@ func TestTraceDeterminismGate(t *testing.T) {
 				if len(snap.Counters) == 0 || len(snap.Histograms) == 0 {
 					t.Fatalf("seed %d: instrumented run recorded no metrics", seed)
 				}
-				// And the span machinery itself must replay deterministically
-				// on top of the instrumented run's clock.
-				sp := o.Tracer().Start(1, "probe", "")
+				if spans := snap.Counters["trace.spans"]; spans < uint64(opsOn) {
+					t.Fatalf("seed %d: %d harness spans for %d applied ops", seed, spans, opsOn)
+				}
+				// And the span machinery itself must still work on top of the
+				// instrumented run's clock.
+				sp := o.Tracer().Start(0, "probe", "")
 				sp.Finish()
-				if traces, _ := o.Tracer().Completed(); len(traces) != 1 {
+				if traces, _ := o.Tracer().Completed(); traces[len(traces)-1].Op != "probe" {
 					t.Fatalf("seed %d: tracer not functional after run", seed)
 				}
 			}

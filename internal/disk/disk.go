@@ -234,8 +234,8 @@ func (d *Disk) checkFailure(ext ExtentID, op string) error {
 	if fm.failPerm {
 		d.met.injectedErrs.Inc()
 		d.obs.Hit("disk.fail.permanent")
-		if d.obs.Tracing() {
-			d.obs.Record("disk", "fail", fmt.Sprintf("e%d", ext), "permanent:"+op, 0)
+		if tr := d.obs.Tracer(); tr != nil {
+			tr.Background("disk", fmt.Sprintf("fail e%d permanent:%s", ext, op)).End()
 		}
 		return fmt.Errorf("%w: permanent failure on extent %d during %s", ErrInjected, ext, op)
 	}
@@ -243,8 +243,8 @@ func (d *Disk) checkFailure(ext ExtentID, op string) error {
 		fm.failOnce = false
 		d.met.injectedErrs.Inc()
 		d.obs.Hit("disk.fail.transient")
-		if d.obs.Tracing() {
-			d.obs.Record("disk", "fail", fmt.Sprintf("e%d", ext), "transient:"+op, 0)
+		if tr := d.obs.Tracer(); tr != nil {
+			tr.Background("disk", fmt.Sprintf("fail e%d transient:%s", ext, op)).End()
 		}
 		return fmt.Errorf("%w: transient failure on extent %d during %s", ErrInjected, ext, op)
 	}
@@ -300,13 +300,7 @@ func (d *Disk) WriteAt(ext ExtentID, off int, data []byte) error {
 	}
 	d.met.writes.Inc()
 	d.met.bytesWritten.Add(uint64(len(data)))
-	defer func() {
-		dur := d.obs.Now() - start
-		d.met.writeLat.Observe(dur)
-		if d.obs.Tracing() {
-			d.obs.Record("disk", "write", fmt.Sprintf("e%d+%d:%d", ext, off, len(data)), "ok", dur)
-		}
-	}()
+	defer func() { d.met.writeLat.Observe(d.obs.Now() - start) }()
 
 	ps := d.cfg.PageSize
 	for len(data) > 0 {
@@ -345,13 +339,7 @@ func (d *Disk) ReadAt(ext ExtentID, off int, buf []byte) error {
 	}
 	d.met.reads.Inc()
 	d.met.bytesRead.Add(uint64(len(buf)))
-	defer func() {
-		dur := d.obs.Now() - start
-		d.met.readLat.Observe(dur)
-		if d.obs.Tracing() {
-			d.obs.Record("disk", "read", fmt.Sprintf("e%d+%d:%d", ext, off, len(buf)), "ok", dur)
-		}
-	}()
+	defer func() { d.met.readLat.Observe(d.obs.Now() - start) }()
 
 	ps := d.cfg.PageSize
 	pos := 0
@@ -395,13 +383,8 @@ func (d *Disk) Sync() error {
 		return ErrClosedDisk
 	}
 	d.met.syncs.Inc()
-	flushed := len(d.cacheOrder)
 	d.applyCacheLocked(func(PageAddr) bool { return true })
-	dur := d.obs.Now() - start
-	d.met.syncLat.Observe(dur)
-	if d.obs.Tracing() {
-		d.obs.Record("disk", "sync", fmt.Sprintf("%d pages", flushed), "ok", dur)
-	}
+	d.met.syncLat.Observe(d.obs.Now() - start)
 	return nil
 }
 
@@ -483,8 +466,8 @@ func (d *Disk) CorruptPage(ext ExtentID, page int, mode RotMode, seed int64) boo
 	}
 	d.met.silentRots.Inc()
 	d.obs.Hit("disk.rot")
-	if d.obs.Tracing() {
-		d.obs.Record("disk", "rot", fmt.Sprintf("e%d/p%d", ext, page), mode.String(), 0)
+	if tr := d.obs.Tracer(); tr != nil {
+		tr.Background("disk", fmt.Sprintf("rot e%d/p%d %s", ext, page, mode)).End()
 	}
 	return true
 }
@@ -510,8 +493,8 @@ func (d *Disk) Crash(rng *rand.Rand) (kept, lost []PageAddr) {
 	d.met.crashes.Inc()
 	d.obs.Hit("disk.crash")
 	kept, lost = d.applyCacheLocked(func(PageAddr) bool { return rng.Intn(2) == 0 })
-	if d.obs.Tracing() {
-		d.obs.Record("disk", "crash", "", fmt.Sprintf("kept=%d lost=%d", len(kept), len(lost)), 0)
+	if tr := d.obs.Tracer(); tr != nil {
+		tr.Background("disk", fmt.Sprintf("crash kept=%d lost=%d", len(kept), len(lost))).End()
 	}
 	// A crash also clears injected transient failures (the process restarts),
 	// but permanent media failures persist.

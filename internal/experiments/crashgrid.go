@@ -55,7 +55,6 @@ func CrashGrid(w io.Writer, quick bool) error {
 			EnableCrashes:   true,
 			EnableReboots:   true,
 			ExhaustiveCrash: exhaustive,
-			ExhaustiveCap:   64,
 
 			Workers: Workers,
 		}

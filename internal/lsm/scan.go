@@ -39,9 +39,6 @@ func (t *Tree) Scan(start, end string, limit int) ([]Entry, bool, error) {
 	}
 	t.met.scanEntries.Add(uint64(len(out)))
 	t.met.scanLat.Observe(t.obs.Now() - opStart)
-	if t.obs.Tracing() {
-		t.obs.Record("lsm", "scan", start, "ok", t.obs.Now()-opStart)
-	}
 	return out, more, nil
 }
 

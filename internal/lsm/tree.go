@@ -532,9 +532,6 @@ func (t *Tree) flush(skipMeta bool) (*dep.Dependency, error) {
 	t.obs.Hit("lsm.flush")
 	t.met.flushes.Inc()
 	t.met.flushDur.Observe(t.obs.Now() - start)
-	if t.obs.Tracing() {
-		t.obs.Record("lsm", "flush", runKey, "ok", t.obs.Now()-start)
-	}
 	return flushDep, nil
 }
 

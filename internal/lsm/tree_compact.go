@@ -244,9 +244,6 @@ func (t *Tree) applyPlanLocked(p compact.Plan) (compact.Result, error) {
 	t.obs.Hit("lsm.compact.leveled")
 	t.met.compactions.Inc()
 	t.met.compactDur.Observe(t.obs.Now() - start)
-	if t.obs.Tracing() {
-		t.obs.Record("lsm", "compact-leveled", fmt.Sprintf("L%d", p.OutLevel), "ok", t.obs.Now()-start)
-	}
 	return compact.Result{
 		Applied:           true,
 		BytesIn:           bytesIn,

@@ -1,6 +1,6 @@
 // Package obs is the node's unified observability layer: a metrics registry
 // (atomic counters, gauges, and fixed-bucket latency histograms), a
-// deterministic trace ring buffer, and human-readable rendering for both.
+// deterministic request-span tracer, and human-readable rendering for both.
 //
 // The design constraint comes straight from the validation methodology (§4 of
 // the paper): the harnesses replay minimized counterexamples and diff durable
@@ -12,9 +12,9 @@
 //
 // The same layer serves both halves of the project. Production-style runs
 // (cmd/shardstore) expose the registry over the rpc `metrics` op and pprof;
-// validation runs dump the trace ring alongside a minimized counterexample so
-// a failure ships with its own execution trail, the raw material that
-// trace-based validation work (Pek et al.) builds on.
+// validation runs replay a minimized counterexample with spans on, one span
+// per harness op, so a failure ships with the layers each op touched — the
+// raw material that trace-based validation work (Pek et al.) builds on.
 package obs
 
 import (

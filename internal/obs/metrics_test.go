@@ -188,9 +188,8 @@ func TestNilSafety(t *testing.T) {
 	o.Counter("x").Inc()
 	o.Gauge("g").Set(5)
 	o.Histogram("h").Observe(9)
-	o.Record("layer", "op", "t", "ok", 1)
 	o.Hit("probe")
-	if o.Now() != 0 || o.Tracing() {
+	if o.Now() != 0 || o.Tracer() != nil {
 		t.Fatal("nil obs must read as tick 0, not tracing")
 	}
 	if s := o.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms)+len(s.Probes) != 0 {

@@ -78,17 +78,3 @@ func sortedKeys[V any](m map[string]V) []string {
 	sort.Strings(keys)
 	return keys
 }
-
-// FormatTrace renders dumped events plus a truncation marker when the ring
-// wrapped, so a partial trail is never mistaken for the whole execution.
-func FormatTrace(events []Event, truncated uint64) string {
-	var b strings.Builder
-	if truncated > 0 {
-		fmt.Fprintf(&b, "... %d earlier events overwritten ...\n", truncated)
-	}
-	for _, e := range events {
-		b.WriteString(e.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}

@@ -342,19 +342,6 @@ func (sp *Span) TraceID() uint64 {
 	return sp.t.TraceID
 }
 
-// SetOp sets the span's operation name once it is known (RPC starts the span
-// before decoding the frame).
-func (sp *Span) SetOp(op string) {
-	if sp == nil {
-		return
-	}
-	sp.tr.mu.Lock()
-	defer sp.tr.mu.Unlock()
-	if !sp.finished {
-		sp.t.Op = op
-	}
-}
-
 // SetKey sets the span's primary key once the payload is decoded.
 func (sp *Span) SetKey(key string) {
 	if sp == nil {

@@ -68,7 +68,6 @@ func TestSpanLifecycle(t *testing.T) {
 		sp.Stage("late", sp.Now(), "")
 		sp.Annotate("late", "late")
 		sp.SetKey("late")
-		sp.SetOp("late")
 		traces, _ := tr.Completed()
 		tc := traces[0]
 		if len(tc.Stages) != 0 || len(tc.Notes) != 0 || tc.Key != "" || tc.Op != "get" {
@@ -97,7 +96,6 @@ func TestSpanLifecycle(t *testing.T) {
 		sp.Stage("x", sp.Now(), "")
 		sp.Annotate("x", "y")
 		sp.SetKey("k")
-		sp.SetOp("op")
 		sp.Finish()
 		if sp.StartTick() != 0 || sp.TraceID() != 0 {
 			t.Fatal("nil span ticks")
@@ -205,7 +203,8 @@ func TestSlowLogThreshold(t *testing.T) {
 }
 
 // TestTraceRingWraparound: the completed ring retains the newest traces and
-// reports how many older ones were overwritten.
+// reports how many older ones were overwritten, and the rendered dump leads
+// with that count so a partial trail is never mistaken for the whole run.
 func TestTraceRingWraparound(t *testing.T) {
 	_, tr := newTestTracer(3, 0)
 	for i := 0; i < 5; i++ {
@@ -220,6 +219,13 @@ func TestTraceRingWraparound(t *testing.T) {
 		if want := uint64(100 + 2 + i); tc.TraceID != want {
 			t.Fatalf("trace %d: id %d, want %d (oldest-first)", i, tc.TraceID, want)
 		}
+	}
+	out := FormatTraceDump(traces, trunc, UnitTicks)
+	if !strings.HasPrefix(out, "... 2 earlier traces overwritten ...\n") || strings.Count(out, "trace 10") != 3 {
+		t.Fatalf("dump without truncation marker or traces: %q", out)
+	}
+	if out := FormatTraceDump(traces, 0, UnitTicks); strings.Contains(out, "overwritten") {
+		t.Fatalf("spurious truncation marker: %q", out)
 	}
 }
 

@@ -53,7 +53,8 @@ type Stats struct {
 
 // TraceDump is the payload of the trace and slowlog ops: the server-side
 // tracer's retained request traces, oldest-first, plus how many earlier
-// traces the ring overwrote.
+// traces the tracer overwrote. A harness failure's trail is the same record
+// (core.Failure.Trace).
 type TraceDump struct {
 	Traces    []obs.ReqTrace `json:"traces,omitempty"`
 	Truncated uint64         `json:"truncated,omitempty"`
@@ -402,13 +403,6 @@ func (s *Server) dispatch(q *wireReq, sp *obs.Span) *wireResp {
 	}
 	if h := s.opLat[q.op]; h != nil {
 		h.Observe(s.obs.Now() - start)
-	}
-	if s.obs.Tracing() {
-		outcome := "ok"
-		if p.code != CodeOK {
-			outcome = "err:" + p.code.String()
-		}
-		s.obs.Record("rpc", opName(q.op), q.key, outcome, s.obs.Now()-start)
 	}
 	return p
 }

@@ -24,7 +24,6 @@
 package scrub
 
 import (
-	"fmt"
 	"sort"
 
 	"shardstore/internal/chunk"
@@ -213,9 +212,6 @@ func (s *Scrubber) Round() (Result, error) {
 	s.met.rounds.Inc()
 	s.met.roundDur.Observe(s.obs.Now() - start)
 	s.obs.Hit("scrub.round")
-	if s.obs.Tracing() {
-		s.obs.Record("scrub", "round", fmt.Sprintf("%d keys", res.KeysScanned), "ok", s.obs.Now()-start)
-	}
 	return res, nil
 }
 
@@ -320,8 +316,8 @@ func (s *Scrubber) scrubKeyLocked(key string) Result {
 				res.BadReplicas++
 				s.met.badReplicas.Inc()
 				s.obs.Hit("scrub.bad_replica")
-				if s.obs.Tracing() {
-					s.obs.Record("scrub", "bad_replica", reps[i].loc.String(), "rot", 0)
+				if tr := s.obs.Tracer(); tr != nil {
+					tr.Background("scrub", "bad_replica "+reps[i].loc.String()).End()
 				}
 			} else {
 				allBad = false
@@ -358,8 +354,8 @@ func (s *Scrubber) scrubKeyLocked(key string) Result {
 		if !s.lost[key] {
 			s.lost[key] = true
 			s.obs.Hit("scrub.lost_shard")
-			if s.obs.Tracing() {
-				s.obs.Record("scrub", "lost_shard", key, "irreparable", 0)
+			if tr := s.obs.Tracer(); tr != nil {
+				tr.Background("scrub", "lost_shard "+key).End()
 			}
 		}
 	} else if !sawUnknown {
@@ -462,8 +458,8 @@ func (s *Scrubber) repairLocked(key string, reps []replica, i int, source *repli
 	s.met.repaired.Inc()
 	s.met.repairDur.Observe(s.obs.Now() - start)
 	s.obs.Hit("scrub.repaired")
-	if s.obs.Tracing() {
-		s.obs.Record("scrub", "repair", key, "ok", s.obs.Now()-start)
+	if tr := s.obs.Tracer(); tr != nil {
+		tr.Background("scrub", "repair "+key).End()
 	}
 	return true
 }

@@ -1,10 +1,6 @@
 package store
 
-import (
-	"errors"
-
-	"shardstore/internal/obs"
-)
+import "errors"
 
 // Scan implements KV.Scan: the live shards in [start, end) in ascending
 // key order, newest value per shard, bounded by limit. The index scan is
@@ -21,9 +17,6 @@ func (s *Store) Scan(start, end string, limit int) ([]ScanEntry, bool, error) {
 		s.met.scans.Inc()
 		s.met.scanEntries.Add(uint64(len(out)))
 		s.met.scanLat.Observe(s.obs.Now() - opStart)
-	}
-	if s.obs.Tracing() {
-		s.obs.Record("store", "scan", start, obs.Outcome(err), s.obs.Now()-opStart)
 	}
 	return out, more, err
 }

@@ -69,8 +69,10 @@ type Config struct {
 	Bugs *faults.Set
 	// Obs is the node-wide observability registry: every layer (disk, cache,
 	// chunk, LSM, scrub, store) resolves its metric handles from it and counts
-	// its coverage probes in it, and its optional trace ring receives the
-	// cross-layer event trail. Nil gives the node a private registry on a
+	// its coverage probes in it, and its optional span tracer receives the
+	// background windows (syncs, compaction, reclamation, scrub) and the
+	// injected faults, rot, and crashes that overlap each traced request or
+	// harness op. Nil gives the node a private registry on a
 	// logical clock, so per-layer Stats keep working standalone and harness
 	// runs stay deterministic.
 	Obs *obs.Obs
@@ -366,9 +368,6 @@ func (s *Store) Put(shardID string, data []byte) (*dep.Dependency, error) {
 		s.met.puts.Inc()
 		s.met.putLat.Observe(s.obs.Now() - start)
 	}
-	if s.obs.Tracing() {
-		s.obs.Record("store", "put", shardID, obs.Outcome(err), s.obs.Now()-start)
-	}
 	return d, err
 }
 
@@ -466,9 +465,6 @@ func (s *Store) Get(shardID string) ([]byte, error) {
 		s.met.gets.Inc()
 		s.met.getLat.Observe(s.obs.Now() - start)
 	}
-	if s.obs.Tracing() {
-		s.obs.Record("store", "get", shardID, obs.Outcome(err), s.obs.Now()-start)
-	}
 	return data, err
 }
 
@@ -565,9 +561,6 @@ func (s *Store) Delete(shardID string) (*dep.Dependency, error) {
 	if err == nil {
 		s.met.deletes.Inc()
 		s.met.deleteLat.Observe(s.obs.Now() - start)
-	}
-	if s.obs.Tracing() {
-		s.obs.Record("store", "delete", shardID, obs.Outcome(err), s.obs.Now()-start)
 	}
 	return d, err
 }

@@ -66,7 +66,7 @@ go test -run 'TestOpcodeCoverage|TestTraceStageVocabulary' -count=1 ./internal/r
 echo "== rpc pipelining gate (server-side depth 1 lock-step, >= 32 shared client; >= 2.5x v2 lock-step ops/s; skipped under -race by design)"
 go test -timeout 300s -run 'TestPipelineThroughputGain' -count=1 -v ./internal/rpc/ | grep -E 'ops/s|ok  |PASS|FAIL'
 
-echo "== observability determinism gate (obs on/off: same verdicts, same disk bytes)"
+echo "== observability determinism gate (metrics on/off: same verdicts, same disk bytes)"
 go test -run 'TestObservabilityDeterminismGate' -count=1 ./internal/core/
 
 echo "== trace determinism gate (spans on/off: same verdicts, same disk bytes)"

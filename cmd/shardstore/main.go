@@ -1,7 +1,9 @@
 // Command shardstore runs a storage node: one key-value store per simulated
 // disk behind the shared RPC interface (§2.1 of the paper), with background
-// maintenance (index flush, compaction, chunk reclamation, superblock flush)
-// on timers. A small client mode exercises a running node, and a check mode
+// maintenance on a timer: each store's own loop (store.Start) runs its
+// Maintain tick (index flush, superblock flush, chunk reclamation, IO
+// scheduling, compaction) and one integrity-scrub step per -maintenance
+// interval. A small client mode exercises a running node, and a check mode
 // runs the §4 conformance harness against this build — the paper's
 // "run the checks before every deployment" workflow.
 //
@@ -36,6 +38,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -56,8 +59,7 @@ func main() {
 	listen := flag.String("listen", "", "serve on this address")
 	connect := flag.String("connect", "", "client mode: connect to this address")
 	disks := flag.Int("disks", 4, "number of simulated disks (server mode)")
-	maintenance := flag.Duration("maintenance", 250*time.Millisecond, "background maintenance interval")
-	scrubInterval := flag.Duration("scrub-interval", time.Second, "background integrity-scrub step interval (0 disables)")
+	maintenance := flag.Duration("maintenance", 250*time.Millisecond, "background maintenance interval: one maintenance tick and one scrub step per store (0 disables)")
 	replicas := flag.Int("replicas", 1, "replicas per chunk within each disk (intra-host redundancy)")
 	pprofAddr := flag.String("pprof", "", "serve pprof + /metrics (JSON; ?format=prom for Prometheus) on this address (server mode, opt-in)")
 	traceCap := flag.Int("trace", 64, "server mode: retain the last N completed request traces (0 disables tracing)")
@@ -74,7 +76,7 @@ func main() {
 	case *check:
 		runCheck(*cases, *ops, *seed, *parallel)
 	case *listen != "":
-		runServer(*listen, *disks, *maintenance, *scrubInterval, *replicas, *pprofAddr, *traceCap, *slowThresh)
+		runServer(*listen, *disks, *maintenance, *replicas, *pprofAddr, *traceCap, *slowThresh)
 	case *connect != "":
 		runClient(*connect, *traced, flag.Args())
 	default:
@@ -131,7 +133,7 @@ func runCheck(cases, ops int, seed int64, parallel int) {
 	os.Exit(1)
 }
 
-func runServer(addr string, disks int, maintenance, scrubInterval time.Duration, replicas int, pprofAddr string, traceCap int, slowThresh time.Duration) {
+func runServer(addr string, disks int, maintenance time.Duration, replicas int, pprofAddr string, traceCap int, slowThresh time.Duration) {
 	// One node-wide registry on the wall clock: every store, disk, cache, and
 	// the rpc layer record into it, so the metrics op (and the optional JSON
 	// /metrics endpoint) see the whole node in one snapshot. Request-span
@@ -155,32 +157,12 @@ func runServer(addr string, disks int, maintenance, scrubInterval time.Duration,
 			fmt.Fprintf(os.Stderr, "disk %d: %v\n", i, err)
 			os.Exit(1)
 		}
-		st.StartScrub(scrubInterval)
+		// The store's own loop: Maintain, then one scrub step, per tick.
+		// It stops when the store leaves service, and a returned disk's
+		// store starts its own.
+		st.Start(maintenance)
 		stores = append(stores, st)
 	}
-
-	// Background maintenance: the explicit operations the harnesses schedule
-	// deterministically run here on a timer, like production ShardStore's
-	// background tasks (§2.1).
-	stop := make(chan struct{})
-	go func() {
-		ticker := time.NewTicker(maintenance)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				for _, st := range stores {
-					_, _ = st.FlushIndex()
-					_, _ = st.FlushSuperblock()
-					_, _ = st.ReclaimAuto()
-					_ = st.SchedStep()
-					_ = st.SchedSync()
-				}
-			}
-		}
-	}()
 
 	srv := rpc.NewServer(stores, nodeObs)
 	bound, err := srv.Serve(addr)
@@ -215,10 +197,12 @@ func runServer(addr string, disks int, maintenance, scrubInterval time.Duration,
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	close(stop)
 	srv.Close()
-	for i, st := range stores {
-		if err := st.CleanShutdown(); err != nil {
+	// Shut down the stores the server serves now, not the ones opened
+	// above: a disk that went through remove_disk/return_disk is served by
+	// the store its return opened. A disk still removed is skipped.
+	for i, kv := range srv.Backends() {
+		if err := kv.RemoveFromService(); err != nil && !errors.Is(err, store.ErrOutOfService) {
 			fmt.Fprintf(os.Stderr, "disk %d shutdown: %v\n", i, err)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"shardstore/internal/dep"
 	"shardstore/internal/disk"
@@ -306,11 +305,6 @@ func decodeFrameLax(frame []byte, h Header, extOff, ps int) (string, []byte, err
 func VerifyFrameBytes(buf []byte) error {
 	_, _, _, err := DecodeFrame(buf)
 	return err
-}
-
-// ChecksumRegion is a helper the examples use to show frame internals.
-func ChecksumRegion(buf []byte) uint32 {
-	return crc32.ChecksumIEEE(buf)
 }
 
 // EncodeLocator serializes a locator (used by the KV layer's index entries).

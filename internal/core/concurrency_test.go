@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"shardstore/internal/faults"
@@ -23,6 +24,7 @@ func TestConcurrencyHarnessesCleanBaseline(t *testing.T) {
 		"bug16":    Bug16Harness,
 		"linz":     LinearizabilityHarness,
 		"scanlinz": ScanLinearizabilityHarness,
+		"maintain": MaintainHarness,
 	}
 	for name, h := range harnesses {
 		name, h := name, h
@@ -95,4 +97,28 @@ func truncate(s string, n int) string {
 		return s
 	}
 	return s[:n] + "..."
+}
+
+// TestMaintainDurableHarnessReproducesBlockedWritebacks pins the open
+// defect MaintainHarness's durable instance reproduces (ROADMAP item
+// 16(iii)): a WaitDurable racing a maintenance tick returns "dep: N
+// writebacks blocked", and the schedule replays. When the defect is fixed
+// this test fails; move the durable instance into the clean baseline then.
+func TestMaintainDurableHarnessReproducesBlockedWritebacks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("shuttle exploration skipped under -race; see TestConcurrencyHarnessesCleanBaseline")
+	}
+	body := maintainHarness(faults.NewSet(), true)
+	rep := shuttle.Explore(shuttle.Options{Strategy: shuttle.NewRandom(17), Iterations: 50}, body)
+	if !rep.Failed() {
+		t.Fatal("durable maintain harness is clean: move it into TestConcurrencyHarnessesCleanBaseline")
+	}
+	f := rep.First()
+	if !strings.Contains(f.Err, "durable write: dep:") || !strings.Contains(f.Err, "writebacks blocked") {
+		t.Fatalf("durable maintain harness failed differently: %v", f)
+	}
+	if shuttle.Replay(body, f.Trace, 400000) == nil {
+		t.Fatal("blocked-writebacks failure did not replay from its trace")
+	}
+	t.Logf("reproduced at iteration %d: %s", f.Iteration, f.Err)
 }

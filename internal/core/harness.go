@@ -453,11 +453,10 @@ func (es *execState) apply(op Op) error {
 			return es.expectOutOfService(func() error { _, err := es.st.Get(op.Key); return err })
 		}
 		got, err := es.implRead(op.Key)
-		gotErr := err != nil
-		if cerr := es.ref.CheckRead(op.Key, got, gotErr); cerr != nil {
+		if cerr := es.ref.CheckRead(op.Key, got, err); cerr != nil {
 			return cerr
 		}
-		if !gotErr && es.ref.HasFailed() {
+		if err == nil && es.ref.HasFailed() {
 			es.ref.ResolveMaybe(op.Key, got)
 		}
 		return nil
@@ -766,7 +765,7 @@ func (es *execState) checkInvariants() error {
 	}
 	for _, key := range es.ref.Keys() {
 		got, err := es.implRead(key)
-		if cerr := es.ref.CheckRead(key, got, err != nil); cerr != nil {
+		if cerr := es.ref.CheckRead(key, got, err); cerr != nil {
 			return fmt.Errorf("invariant: %w", cerr)
 		}
 	}

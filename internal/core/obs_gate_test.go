@@ -120,6 +120,11 @@ func TestFailureCarriesTrace(t *testing.T) {
 	if f.TraceTruncated != 0 {
 		t.Fatalf("trace truncated: %d spans overwritten", f.TraceTruncated)
 	}
+	// The violation keeps the store's own error, which names the stale
+	// locator the undrained cache served.
+	if msg := f.MinimizedErr.Error(); !strings.Contains(msg, `locator chunk@e3+256:62 owned by "k09", want "k14"`) {
+		t.Fatalf("minimized violation lost the store's error: %s", msg)
+	}
 	want := make([]string, 0, len(f.Minimized)+1)
 	for _, op := range f.Minimized {
 		want = append(want, op.String())

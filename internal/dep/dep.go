@@ -1218,7 +1218,7 @@ func describeDep(d *Dependency, depth int) string {
 }
 
 // DumpGraph renders the dependency graph rooted at d as indented text, for
-// examples and debugging.
+// the Fig 2 experiment and debugging.
 func DumpGraph(d *Dependency) string {
 	nodes, edges := d.Graph()
 	var b strings.Builder

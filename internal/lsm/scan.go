@@ -18,9 +18,10 @@ import (
 	"shardstore/internal/vsync"
 )
 
-// maxScanAttempts bounds the optimistic snapshot loop before the scan falls
-// back to serializing against the run-list mutators.
-const maxScanAttempts = 4
+// maxSnapshotAttempts bounds the optimistic snapshot loop before the scan
+// falls back to serializing against the run-list mutators, and the reads a
+// point Get retries after a generation moved under it.
+const maxSnapshotAttempts = 4
 
 // Scan returns the live entries in [start, end) in ascending key order,
 // newest version of each key, tombstones elided. An empty end means
@@ -112,7 +113,7 @@ func mergeRuns(srcs [][]Entry) []Entry {
 
 // scanSnapshot returns the sources of one consistent view, newest first.
 func (t *Tree) scanSnapshot(start, end string) ([][]Entry, error) {
-	for attempt := 0; attempt < maxScanAttempts; attempt++ {
+	for attempt := 0; attempt < maxSnapshotAttempts; attempt++ {
 		srcs, gen, torn, err := t.scanSources(start, end)
 		if err != nil {
 			// A run vanished mid-load (compaction swapped it out and

@@ -295,24 +295,40 @@ func (t *Tree) Delete(key string, waits ...*dep.Dependency) (*dep.Dependency, er
 // read-amplification ratio leveled compaction exists to bound.
 func (t *Tree) Get(key string) ([]byte, error) {
 	t.met.gets.Inc()
-	t.mu.Lock()
-	if e, ok := t.mem[key]; ok {
-		t.mu.Unlock()
-		if e.tombstone {
-			return nil, ErrNotFound
+	for attempt := 1; ; attempt++ {
+		t.mu.Lock()
+		if e, ok := t.mem[key]; ok {
+			t.mu.Unlock()
+			if e.tombstone {
+				return nil, ErrNotFound
+			}
+			return append([]byte(nil), e.value...), nil
 		}
-		return append([]byte(nil), e.value...), nil
-	}
-	if e, ok := t.flushing[key]; ok {
-		t.mu.Unlock()
-		if e.tombstone {
-			return nil, ErrNotFound
+		if e, ok := t.flushing[key]; ok {
+			t.mu.Unlock()
+			if e.tombstone {
+				return nil, ErrNotFound
+			}
+			return append([]byte(nil), e.value...), nil
 		}
-		return append([]byte(nil), e.value...), nil
-	}
-	runs := append([]runRef(nil), t.runs...)
-	t.mu.Unlock()
+		runs := append([]runRef(nil), t.runs...)
+		gen := t.manifestGen
+		t.mu.Unlock()
 
+		v, err := t.getFromRuns(key, runs)
+		if err == nil || err == ErrNotFound || attempt == maxSnapshotAttempts || t.ManifestGen() == gen {
+			return v, err
+		}
+		// A run of the snapshot vanished mid-read: a compaction retired it
+		// and reclamation recycled its extent, so loadRun's refresh by
+		// sequence number finds nothing. The generation moved; read the new
+		// one, as Scan does.
+		t.obs.Hit("lsm.get.gen_retry")
+	}
+}
+
+// getFromRuns probes one snapshot of the run list, newest first.
+func (t *Tree) getFromRuns(key string, runs []runRef) ([]byte, error) {
 	for _, r := range runs {
 		t.met.runsProbed.Inc()
 		entries, err := t.loadRun(r)

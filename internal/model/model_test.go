@@ -152,18 +152,31 @@ func TestRefStoreSequentialExpectations(t *testing.T) {
 	_ = s
 	r := NewRefStore(nil)
 	r.ApplyPut("k", []byte{1}, w(), false)
-	if err := r.CheckRead("k", []byte{1}, false); err != nil {
+	if err := r.CheckRead("k", []byte{1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.CheckRead("k", []byte{2}, false); err == nil {
+	if err := r.CheckRead("k", []byte{2}, nil); err == nil {
 		t.Fatal("wrong value accepted")
 	}
-	if err := r.CheckRead("k", nil, false); err == nil {
+	if err := r.CheckRead("k", nil, nil); err == nil {
 		t.Fatal("absence accepted while value expected")
 	}
 	r.ApplyDelete("k", w(), false)
-	if err := r.CheckRead("k", nil, false); err != nil {
+	if err := r.CheckRead("k", nil, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckReadKeepsStoreError: a persistent read failure is a violation
+// that wraps the store's error, so the report names what the store saw.
+func TestCheckReadKeepsStoreError(t *testing.T) {
+	_, w := mkDep(t)
+	r := NewRefStore(nil)
+	r.ApplyPut("k", []byte{1}, w(), false)
+	storeErr := errors.New("chunk: truncated frame")
+	err := r.CheckRead("k", nil, storeErr)
+	if !errors.Is(err, storeErr) {
+		t.Fatalf("violation %v does not wrap the store's error", err)
 	}
 }
 
@@ -171,10 +184,10 @@ func TestRefStoreEmptyValueDistinctFromAbsent(t *testing.T) {
 	_, w := mkDep(t)
 	r := NewRefStore(nil)
 	r.ApplyPut("k", []byte{}, w(), false)
-	if err := r.CheckRead("k", []byte{}, false); err != nil {
+	if err := r.CheckRead("k", []byte{}, nil); err != nil {
 		t.Fatalf("empty value rejected: %v", err)
 	}
-	if err := r.CheckRead("k", nil, false); err == nil {
+	if err := r.CheckRead("k", nil, nil); err == nil {
 		t.Fatal("absence accepted for empty value")
 	}
 }
@@ -185,18 +198,18 @@ func TestRefStoreMaybeMutations(t *testing.T) {
 	r.MarkFailed()
 	r.ApplyPut("k", []byte{1}, w(), false)
 	r.ApplyPut("k", []byte{2}, nil, true) // op errored: may or may not apply
-	if err := r.CheckRead("k", []byte{1}, false); err != nil {
+	if err := r.CheckRead("k", []byte{1}, nil); err != nil {
 		t.Fatalf("pre-maybe value rejected: %v", err)
 	}
-	if err := r.CheckRead("k", []byte{2}, false); err != nil {
+	if err := r.CheckRead("k", []byte{2}, nil); err != nil {
 		t.Fatalf("maybe value rejected: %v", err)
 	}
-	if err := r.CheckRead("k", []byte{3}, false); err == nil {
+	if err := r.CheckRead("k", []byte{3}, nil); err == nil {
 		t.Fatal("phantom value accepted")
 	}
 	// A read observation collapses the ambiguity.
 	r.ResolveMaybe("k", []byte{2})
-	if err := r.CheckRead("k", []byte{1}, false); err == nil {
+	if err := r.CheckRead("k", []byte{1}, nil); err == nil {
 		t.Fatal("stale value accepted after observation")
 	}
 }
@@ -260,7 +273,7 @@ func TestRefStoreForwardProgress(t *testing.T) {
 		t.Fatalf("forward progress after pump: %v", err)
 	}
 	// The state is promoted to the durable base.
-	if err := r.CheckRead("k", []byte{1}, false); err != nil {
+	if err := r.CheckRead("k", []byte{1}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -277,7 +290,7 @@ func TestRefStoreAdoptionRebasesState(t *testing.T) {
 	if r.PendingMutations() != 0 {
 		t.Fatal("log not cleared by adoption")
 	}
-	if err := r.CheckRead("k", []byte{1}, false); err != nil {
+	if err := r.CheckRead("k", []byte{1}, nil); err != nil {
 		t.Fatal("adopted base lost")
 	}
 }

@@ -202,11 +202,12 @@ func (r *RefStore) MustBePresent(key string) ([]byte, bool) {
 }
 
 // CheckRead validates an implementation read result against the model.
-// got == nil means the implementation reported not-found; gotErr means the
-// read failed outright.
-func (r *RefStore) CheckRead(key string, got []byte, gotErr bool) error {
+// got == nil with a nil err means the implementation reported not-found; a
+// non-nil err means the read failed outright, and a violation wraps it so
+// the report keeps the store's own account of the failure.
+func (r *RefStore) CheckRead(key string, got []byte, err error) error {
 	allowed := r.Expected(key)
-	if gotErr {
+	if err != nil {
 		if r.Rotted(key) {
 			// Every replica was silently corrupted; CRC verification turning
 			// that into a read error is exactly the required behaviour
@@ -220,7 +221,7 @@ func (r *RefStore) CheckRead(key string, got []byte, gotErr bool) error {
 		// fail by returning no data, but never ... the wrong data" — and a
 		// persistent failure with no outstanding fault is not "during an IO
 		// error").
-		return fmt.Errorf("model: read of %q failed persistently: data lost or corrupt", key)
+		return fmt.Errorf("model: read of %q failed persistently: data lost or corrupt: %w", key, err)
 	}
 	for _, v := range allowed {
 		if v == nil && got == nil {

@@ -207,6 +207,7 @@ func TestServiceCycleOverRPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	disk := srv.steer("k")
+	before := srv.Backends()
 	if err := c.RemoveDisk(ctx, disk); err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +220,16 @@ func TestServiceCycleOverRPC(t *testing.T) {
 	v, err := c.Get(ctx, "k")
 	if err != nil || !bytes.Equal(v, []byte("v")) {
 		t.Fatalf("after return: %q %v", v, err)
+	}
+	// Backends names the store the return opened, as a copy: shutting the
+	// node down through it reaches the store that holds the data.
+	after := srv.Backends()
+	if after[disk] == before[disk] || after[1-disk] != before[1-disk] {
+		t.Fatal("Backends does not reflect the returned disk's new store")
+	}
+	after[disk] = nil
+	if srv.Backends()[disk] == nil {
+		t.Fatal("Backends returned the server's own slice")
 	}
 }
 

@@ -431,6 +431,14 @@ func (s *Server) kvForKey(key string) (store.KV, error) {
 	return kv, err
 }
 
+// Backends returns a copy of the per-disk backends the server steers to now:
+// after a return_disk, the store that return opened, not the removed one.
+func (s *Server) Backends() []store.KV {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]store.KV(nil), s.kvs...)
+}
+
 // replaceKV swaps the backend for disk idx (after a service-cycle reopen).
 func (s *Server) replaceKV(idx int, kv store.KV) {
 	s.mu.Lock()

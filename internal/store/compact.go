@@ -1,8 +1,6 @@
 package store
 
 import (
-	"time"
-
 	"shardstore/internal/compact"
 	"shardstore/internal/dep"
 )
@@ -51,57 +49,4 @@ func (s *Store) CompactQuiesce(maxSteps int) (int, error) {
 		return 0, err
 	}
 	return s.compactor.Quiesce(maxSteps)
-}
-
-// StartCompact launches the background compaction loop, one durable engine
-// step per tick. It is idempotent while a loop is running. Like StartScrub,
-// the loop is a plain goroutine: deterministic harnesses never start it —
-// they call CompactStep explicitly, the way they schedule every other
-// background task.
-func (s *Store) StartCompact(interval time.Duration) {
-	if interval <= 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.compactStop != nil {
-		return
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	s.compactStop, s.compactDone = stop, done
-	//shardlint:allow syncusage wall-clock maintenance loop; shuttle-driven harnesses never start it and call CompactStep directly
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				if s.requireInService() != nil {
-					continue
-				}
-				_, _ = s.compactor.Step()
-			}
-		}
-	}()
-	s.obs.Hit("store.compact_loop_start")
-}
-
-// StopCompact stops the background compaction loop and waits for it to exit;
-// no merge IO is in flight afterwards. Safe to call when no loop is running.
-// CleanShutdown and Crash stop this loop before the scrub loop and before any
-// teardown flush, so shutdown never races an in-progress manifest swap.
-func (s *Store) StopCompact() {
-	s.mu.Lock()
-	stop, done := s.compactStop, s.compactDone
-	s.compactStop, s.compactDone = nil, nil
-	s.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"time"
 
 	"shardstore/internal/chunk"
 	"shardstore/internal/dep"
@@ -11,16 +12,67 @@ import (
 	"shardstore/internal/vsync"
 )
 
+// Start launches the store's background maintenance loop: every interval it
+// runs Maintain and then one rate-limited ScrubStep. It is idempotent while a
+// loop runs, and an interval <= 0 starts nothing. The loop belongs to this
+// store for its whole life: CleanShutdown, Crash and removal from service
+// stop it, and ReturnToService starts the replacement store's own. The loop
+// is a plain goroutine on a wall-clock ticker; deterministic harnesses never
+// start it and call Maintain and the scrub steps as operations instead.
+func (s *Store) Start(interval time.Duration) {
+	if interval <= 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.loopStop != nil {
+		return
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	s.loopStop, s.loopDone, s.loopEvery = stop, done, interval
+	//shardlint:allow syncusage wall-clock maintenance loop; shuttle-driven harnesses never start it and call Maintain directly
+	go func() {
+		defer close(done)
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-ticker.C:
+				_ = s.Maintain()
+				_, _, _ = s.ScrubStep()
+			}
+		}
+	}()
+	s.obs.Hit("store.maintain_loop_start")
+}
+
+// Stop stops the background maintenance loop and waits for it to exit; no
+// maintenance or repair IO is in flight afterwards. Safe to call when no loop
+// runs. It waits without holding s.mu, which every tick takes.
+func (s *Store) Stop() {
+	s.mu.Lock()
+	stop, done := s.loopStop, s.loopDone
+	s.loopStop, s.loopDone = nil, nil
+	s.mu.Unlock()
+	if stop == nil {
+		return
+	}
+	close(stop)
+	<-done
+}
+
 // CleanShutdown quiesces the node for a non-crashing shutdown: the memtable
 // is flushed (bug #3 site inside lsm), the superblock is written, and the IO
 // scheduler pumps every writeback to durability. After a successful
 // CleanShutdown every previously returned dependency reports persistent —
 // the §5 forward-progress property.
 func (s *Store) CleanShutdown() error {
-	// Stop the compaction loop before the scrub loop and before any teardown
-	// flush: a manifest swap mid-shutdown would race the final index flush.
-	s.StopCompact()
-	s.StopScrub()
+	// Stop the maintenance loop before any teardown flush: a manifest swap
+	// or a repair mid-shutdown would race the final index flush.
+	s.Stop()
 	if _, err := s.idx.Shutdown(); err != nil {
 		return fmt.Errorf("store: shutdown index flush: %w", err)
 	}
@@ -50,8 +102,7 @@ func (s *Store) CleanShutdown() error {
 // is dead afterwards; call Open on the same disk to recover. The returned
 // page lists describe what survived.
 func (s *Store) Crash(rng *rand.Rand) (kept, lost []disk.PageAddr) {
-	s.StopCompact()
-	s.StopScrub()
+	s.Stop()
 	s.mu.Lock()
 	s.inService = false
 	s.mu.Unlock()
@@ -62,8 +113,7 @@ func (s *Store) Crash(rng *rand.Rand) (kept, lost []disk.PageAddr) {
 // CrashKeep is the deterministic crash used by the exhaustive block-level
 // crash-state enumerator (§5).
 func (s *Store) CrashKeep(keep func(disk.PageAddr) bool) (kept, lost []disk.PageAddr) {
-	s.StopCompact()
-	s.StopScrub()
+	s.Stop()
 	s.mu.Lock()
 	s.inService = false
 	s.mu.Unlock()
@@ -184,6 +234,7 @@ func (s *Store) RemoveFromService() error {
 		return err
 	}
 	if s.bugs().Enabled(faults.Bug4DiskReturnLosesShard) {
+		s.Stop() // the seeded bug skips the flush, not the loop's stop
 		s.mu.Lock()
 		s.inService = false
 		s.mu.Unlock()
@@ -194,18 +245,23 @@ func (s *Store) RemoveFromService() error {
 }
 
 // ReturnToService brings a removed disk back by re-opening the store state
-// from disk, exactly like crash recovery but without a crash.
+// from disk, exactly like crash recovery but without a crash. If this store
+// ever ran a maintenance loop, the returned store starts its own at the same
+// interval: the removed store's loop stopped with it, and its Maintain does
+// nothing out of service.
 func (s *Store) ReturnToService() (*Store, error) {
 	s.mu.Lock()
 	if s.inService {
 		s.mu.Unlock()
 		return s, nil
 	}
+	every := s.loopEvery
 	s.mu.Unlock()
 	ns, err := Open(s.d, s.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("store: return to service: %w", err)
 	}
+	ns.Start(every)
 	s.obs.Hit("store.return_to_service")
 	return ns, nil
 }

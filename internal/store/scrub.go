@@ -1,8 +1,6 @@
 package store
 
 import (
-	"time"
-
 	"shardstore/internal/chunk"
 	"shardstore/internal/dep"
 	"shardstore/internal/disk"
@@ -89,54 +87,4 @@ func (s *Store) ScrubStep() (scrub.Result, bool, error) {
 		return scrub.Result{}, false, err
 	}
 	return s.scrubber.Step()
-}
-
-// StartScrub launches the background scrub loop, one rate-limited ScrubStep
-// per tick. It is idempotent while a loop is running. The loop is a plain
-// goroutine (like cmd/shardstore's maintenance ticker), not a vsync-managed
-// one: deterministic harnesses never start it — they call ScrubRound
-// explicitly, the way they schedule every other background task.
-func (s *Store) StartScrub(interval time.Duration) {
-	if interval <= 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.scrubStop != nil {
-		return
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	s.scrubStop, s.scrubDone = stop, done
-	//shardlint:allow syncusage wall-clock maintenance loop; shuttle-driven harnesses never start it and call ScrubRound directly
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				_, _, _ = s.ScrubStep()
-			}
-		}
-	}()
-	s.obs.Hit("store.scrub_loop_start")
-}
-
-// StopScrub stops the background scrub loop and waits for it to exit; no
-// repair IO is in flight afterwards. Safe to call when no loop is running.
-// CleanShutdown and Crash stop the loop first, so shutdown flushes and crash
-// teardown never race an in-progress repair.
-func (s *Store) StopScrub() {
-	s.mu.Lock()
-	stop, done := s.scrubStop, s.scrubDone
-	s.scrubStop, s.scrubDone = nil, nil
-	s.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
 }

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"shardstore/internal/chunk"
 	"shardstore/internal/compact"
@@ -112,6 +113,7 @@ type storeMetrics struct {
 	deleteLat   *obs.Histogram
 	scanLat     *obs.Histogram
 	shardCount  *obs.Gauge
+	maintErrors *obs.Counter
 }
 
 func newStoreMetrics(o *obs.Obs) storeMetrics {
@@ -129,6 +131,7 @@ func newStoreMetrics(o *obs.Obs) storeMetrics {
 		deleteLat:   o.Histogram("store.delete_lat"),
 		scanLat:     o.Histogram("store.scan_lat"),
 		shardCount:  o.Gauge("store.shards"),
+		maintErrors: o.Counter("store.maintain_errors"),
 	}
 }
 
@@ -147,13 +150,12 @@ type Store struct {
 	scrubber  *scrub.Scrubber
 	compactor *compact.Engine
 
-	// scrubStop/scrubDone manage the background scrub loop (StartScrub).
-	scrubStop chan struct{}
-	scrubDone chan struct{}
-	// compactStop/compactDone manage the background compaction loop
-	// (StartCompact).
-	compactStop chan struct{}
-	compactDone chan struct{}
+	// loopStop/loopDone manage the background maintenance loop (Start).
+	// loopEvery is the interval Start last launched it at; ReturnToService
+	// starts the replacement store's loop at the same interval.
+	loopStop  chan struct{}
+	loopDone  chan struct{}
+	loopEvery time.Duration
 
 	// catalog is the control plane's sorted view of shard ids (bug #13/#16
 	// sites operate on it).
@@ -647,6 +649,32 @@ func (s *Store) SchedStep() int { return s.sched.Step() }
 
 // SchedSync flushes the disk write cache.
 func (s *Store) SchedSync() error { return s.sched.Sync() }
+
+// Maintain runs one maintenance tick, the body of the background loop
+// (Start): index flush, superblock flush, one reclamation, one scheduler
+// step, a sync and one compaction step, in that order. Every step runs even
+// when an earlier one fails; each failure counts in store.maintain_errors
+// and the result joins them. A store out of service does nothing and
+// returns ErrOutOfService, so a tick can never write a disk that a
+// returned-to-service store now owns.
+func (s *Store) Maintain() error {
+	if err := s.requireInService(); err != nil {
+		return err
+	}
+	_, flushErr := s.FlushIndex()
+	_, superErr := s.FlushSuperblock()
+	_, reclaimErr := s.ReclaimAuto()
+	s.SchedStep()
+	syncErr := s.SchedSync()
+	_, compactErr := s.CompactStep()
+	errs := [...]error{flushErr, superErr, reclaimErr, syncErr, compactErr}
+	for _, err := range errs {
+		if err != nil {
+			s.met.maintErrors.Inc()
+		}
+	}
+	return errors.Join(errs[:]...)
+}
 
 // Pump drives the IO scheduler to quiescence (flushing the index and
 // superblock first so futures are bound).

@@ -21,5 +21,6 @@
 //     table and figure (internal/experiments).
 //
 // Start with DESIGN.md for the system inventory, EXPERIMENTS.md for the
-// paper-vs-measured results, and the runnable examples under examples/.
+// paper-vs-measured results, examples/quickstart for a first run, and
+// cmd/experiments for every figure.
 package shardstore

@@ -91,26 +91,55 @@ func TestCleanShutdownStopsCompactionLoop(t *testing.T) {
 }
 
 // TestMaintenanceLoopsStopWhileTicking: Stop returns even when the loop is
-// mid-tick. A tick takes the store lock, so a Stop that waited for the loop
-// while still holding that lock would deadlock; fifty start/stop cycles with
-// ticks pending make the hang near-certain if it can happen at all, and the
-// watchdog turns it into a failure.
+// mid-tick. Both halves of a tick — Maintain, whose last step compacts, and
+// the scrub step — take the store lock, so a Stop that waited for the loop
+// while still holding that lock would deadlock. Each case gives one half the
+// work: "compact" seeds L0 runs so the engine has a plan ready, "scrub"
+// seeds replicated shards so every scrub step verifies frames. Fifty
+// start/stop cycles with ticks pending make the hang near-certain if it can
+// happen at all, and the watchdog turns it into a failure.
 func TestMaintenanceLoopsStopWhileTicking(t *testing.T) {
-	s, _ := mustOpen(t, compactTestConfig(44))
-	seedCompactionWork(t, s, 4)
-	done := make(chan struct{})
-	vsync.Go("cycler", func() {
-		defer close(done)
-		for i := 0; i < 50; i++ {
-			s.Start(50 * time.Microsecond)
-			time.Sleep(200 * time.Microsecond)
-			s.Stop()
-		}
-	})
-	select {
-	case <-done:
-	case <-time.After(20 * time.Second):
-		t.Fatal("Stop did not return")
+	for _, tc := range []struct {
+		name string
+		open func(*testing.T) *Store
+	}{
+		{"compact", func(t *testing.T) *Store {
+			s, _ := mustOpen(t, compactTestConfig(44))
+			seedCompactionWork(t, s, 4)
+			return s
+		}},
+		{"scrub", func(t *testing.T) *Store {
+			cfg := testConfig(44)
+			cfg.Replicas = 2
+			s, _ := mustOpen(t, cfg)
+			for i := 0; i < 32; i++ {
+				if _, err := s.Put(fmt.Sprintf("s%02d", i), bytes.Repeat([]byte{byte(i + 1)}, 60)); err != nil {
+					t.Fatalf("seed put: %v", err)
+				}
+			}
+			if err := s.Pump(); err != nil {
+				t.Fatalf("seed pump: %v", err)
+			}
+			return s
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.open(t)
+			done := make(chan struct{})
+			vsync.Go("cycler", func() {
+				defer close(done)
+				for i := 0; i < 50; i++ {
+					s.Start(50 * time.Microsecond)
+					time.Sleep(200 * time.Microsecond)
+					s.Stop()
+				}
+			})
+			select {
+			case <-done:
+			case <-time.After(20 * time.Second):
+				t.Fatalf("%s: Stop did not return", tc.name)
+			}
+		})
 	}
 }
 

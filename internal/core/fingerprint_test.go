@@ -17,11 +17,11 @@ import (
 )
 
 // harnessFingerprint is the SHA-256 of everything TestHarnessFingerprint
-// observes. It was computed at commit bd6fe4c and changes only when a random
-// stream the harness or the node draws from moves — generated sequences,
-// chunk UUIDs, crash and rot outcomes. A change that moves one on purpose
-// says so by editing this line.
-const harnessFingerprint = "b2b89c5a4c7c0b640423270d098c62253333cdb0c954c2d3ec52c987d7a8fc92"
+// observes. It changes only when a random stream the harness or the node
+// draws from moves — generated sequences, chunk UUIDs, crash and rot
+// outcomes — or a checked behaviour changes. A change that moves it on
+// purpose says so by editing this line.
+const harnessFingerprint = "978a4a39f48322039974c99191e0c74929d912eae973a22e97a00d46b7ef4414"
 
 // fingerprintConfigs are the two legs of the fingerprint: every alphabet the
 // 12k-case stress enables plus the control plane, and the silent-corruption

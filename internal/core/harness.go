@@ -522,7 +522,7 @@ func (es *execState) apply(op Op) error {
 		if !es.inService {
 			return nil
 		}
-		ids, err := es.st.List()
+		ids, err := es.listPaged()
 		if err != nil {
 			return es.opFailure("List", err)
 		}
@@ -627,8 +627,9 @@ func (es *execState) apply(op Op) error {
 		if !es.inService {
 			return nil
 		}
-		if err := es.opFailure("RemoveFromService", es.st.RemoveFromService()); err != nil {
-			return err
+		// An excused failure leaves the store in service.
+		if err := es.st.RemoveFromService(); err != nil {
+			return es.opFailure("RemoveFromService", err)
 		}
 		es.inService = false
 		return nil
@@ -733,12 +734,36 @@ func (es *execState) expectOutOfService(call func() error) error {
 	return nil
 }
 
-// checkListing validates a control-plane listing against the model: every
-// definitely-present shard must be listed, and nothing definitely-absent may
-// be listed.
+// listPageLimit is the page size OpList walks the listing in: small, so a
+// case's listings cross page boundaries.
+const listPageLimit = 3
+
+// listPaged walks the whole listing page by page, each page resuming after
+// the last key of the one before.
+func (es *execState) listPaged() ([]string, error) {
+	var all []string
+	for cursor := ""; ; {
+		page, more, err := es.st.List(cursor, "", listPageLimit)
+		if err != nil {
+			return nil, err
+		}
+		all = append(all, page...)
+		if !more {
+			return all, nil
+		}
+		cursor = page[len(page)-1] + "\x00"
+	}
+}
+
+// checkListing validates a control-plane listing against the model: it must
+// be strictly ascending, every definitely-present shard must be listed, and
+// nothing definitely-absent may be listed.
 func (es *execState) checkListing(ids []string) error {
 	listed := make(map[string]bool, len(ids))
-	for _, id := range ids {
+	for i, id := range ids {
+		if i > 0 && ids[i-1] >= id {
+			return fmt.Errorf("List returned %q after %q: not strictly ascending", id, ids[i-1])
+		}
 		listed[id] = true
 	}
 	for _, key := range es.ref.Keys() {
@@ -775,16 +800,16 @@ func (es *execState) checkInvariants() error {
 	var err error
 	for attempt := 0; attempt < 4; attempt++ {
 		pending := es.outstanding() > 0
-		implKeys, err = es.st.Keys()
+		implKeys, _, err = es.st.List("", "", 0)
 		if err == nil {
 			break
 		}
 		if !pending {
-			return fmt.Errorf("invariant: Keys failed: %w", err)
+			return fmt.Errorf("invariant: List failed: %w", err)
 		}
 	}
 	if err != nil {
-		return fmt.Errorf("invariant: Keys failed repeatedly: %w", err)
+		return fmt.Errorf("invariant: List failed repeatedly: %w", err)
 	}
 	for _, k := range implKeys {
 		allowed := es.ref.Expected(k)

@@ -332,7 +332,7 @@ func applyIndexOp(impl *indexSUT, ref *model.RefIndex, op IndexOp) error {
 // same key-value mapping.
 func checkIndexEquivalence(impl *indexSUT, ref *model.RefIndex) error {
 	refKeys, _ := ref.Keys()
-	implKeys, err := impl.tree.Keys()
+	implKeys, _, err := impl.tree.Keys("", "", 0)
 	if err != nil {
 		return fmt.Errorf("impl Keys: %w", err)
 	}

@@ -666,42 +666,42 @@ func (m *Manager) encodeRecordLocked(magic uint32) []byte {
 	return padded
 }
 
-// decodeRecord parses one record; returns ok=false for invalid records
-// (wrong magic, bad CRC, torn writes). vals holds pointers or owner codes
-// depending on the record type.
-func decodeRecord(buf []byte, extentCount int) (magic uint32, gen uint64, vals []uint32, ok bool) {
+// decodeRecord parses one record into vals, one slot per extent; returns
+// ok=false for invalid records (wrong magic, bad CRC, torn writes), leaving
+// vals clobbered. vals receives pointers or owner codes depending on the
+// record type.
+func decodeRecord(buf []byte, vals []uint32) (magic uint32, gen uint64, ok bool) {
 	if len(buf) < headerSize+trailerSize {
-		return 0, 0, nil, false
+		return 0, 0, false
 	}
 	magic = binary.BigEndian.Uint32(buf[0:4])
 	if magic != ptrRecordMagic && magic != ownRecordMagic {
-		return 0, 0, nil, false
+		return 0, 0, false
 	}
 	gen = binary.BigEndian.Uint64(buf[4:12])
 	count := int(binary.BigEndian.Uint32(buf[12:16]))
-	if count != extentCount {
-		return 0, 0, nil, false
+	if count != len(vals) {
+		return 0, 0, false
 	}
 	need := headerSize + count*entrySize + trailerSize
 	if len(buf) < need {
-		return 0, 0, nil, false
+		return 0, 0, false
 	}
 	body := buf[:need-trailerSize]
 	wantCRC := binary.BigEndian.Uint32(buf[need-trailerSize : need])
 	if crc32.ChecksumIEEE(body) != wantCRC {
-		return 0, 0, nil, false
+		return 0, 0, false
 	}
-	vals = make([]uint32, count)
 	pos := headerSize
 	for i := 0; i < count; i++ {
 		idx := int(binary.BigEndian.Uint32(buf[pos : pos+4]))
 		if idx != i {
-			return 0, 0, nil, false
+			return 0, 0, false
 		}
 		vals[i] = binary.BigEndian.Uint32(buf[pos+4 : pos+8])
 		pos += entrySize
 	}
-	return magic, gen, vals, true
+	return magic, gen, true
 }
 
 // Recover rebuilds the extent table after a reboot by scanning the
@@ -718,22 +718,31 @@ func Recover(sched *dep.Scheduler, cfg Config, bugs *faults.Set) (*Manager, erro
 	var bestPtr, bestOwn []uint32
 	bestPtrOff, bestOwnOff := -1, -1
 	buf := make([]byte, rs)
+	// Records decode into vals; a new best keeps it and hands back the
+	// buffer it replaces, so the scan allocates per record kind, not per
+	// record.
+	var vals []uint32
 	for off := 0; off+rs <= dcfg.ExtentBytes(); off += rs {
 		if err := d.ReadAt(SuperblockExtent, off, buf); err != nil {
 			return nil, fmt.Errorf("extent: recovery read: %w", err)
 		}
-		magic, gen, vals, ok := decodeRecord(buf, dcfg.ExtentCount)
+		if vals == nil {
+			vals = make([]uint32, dcfg.ExtentCount)
+		}
+		magic, gen, ok := decodeRecord(buf, vals)
 		if !ok {
 			continue
 		}
 		switch magic {
 		case ptrRecordMagic:
 			if bestPtr == nil || gen > bestPtrGen {
-				bestPtrGen, bestPtr, bestPtrOff = gen, vals, off
+				bestPtrGen, bestPtrOff = gen, off
+				bestPtr, vals = vals, bestPtr
 			}
 		case ownRecordMagic:
 			if bestOwn == nil || gen > bestOwnGen {
-				bestOwnGen, bestOwn, bestOwnOff = gen, vals, off
+				bestOwnGen, bestOwnOff = gen, off
+				bestOwn, vals = vals, bestOwn
 			}
 		}
 	}

@@ -87,7 +87,7 @@ func checkLockstep(t *testing.T, step string, tree *lsm.Tree, ref *model.RefLeve
 			t.Fatalf("%s: Get(%q) tree=%v model=%v", step, k, tv, rv)
 		}
 	}
-	tk, err := tree.Keys()
+	tk, _, err := tree.Keys("", "", 0)
 	if err != nil {
 		t.Fatalf("%s: tree keys: %v", step, err)
 	}
@@ -238,7 +238,7 @@ func TestCompactionEmptyOutput(t *testing.T) {
 				t.Fatalf("recovered %d runs at generation %d, want the published empty manifest (generation %d)",
 					reopened.RunCount(), reopened.ManifestGen(), gen+1)
 			}
-			if keys, err := reopened.Keys(); err != nil || len(keys) != 0 {
+			if keys, _, err := reopened.Keys("", "", 0); err != nil || len(keys) != 0 {
 				t.Fatalf("recovered keys: %v %v", keys, err)
 			}
 		})

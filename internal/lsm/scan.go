@@ -6,9 +6,10 @@
 // straddle the swap (some runs read pre-swap, some post-swap), so the scan
 // discards it and re-snapshots. Loaded entry slices are immutable once
 // decoded, so sources whose generation re-check passes are a true snapshot.
-// A page still merges the whole snapshot before it filters (mergeRuns below),
-// so it costs the tree, not the range; Keys already walks the sources with
-// mergeIter.
+// A Scan page still merges the whole snapshot before it filters (mergeRuns
+// below), so it costs the tree, not the range. Keys, the listing, drains
+// mergeIter over the same snapshot and stops at end or limit, so a listing
+// page costs runs * log n + limit and copies no value.
 package lsm
 
 import (
@@ -43,22 +44,29 @@ func (t *Tree) Scan(start, end string, limit int) ([]Entry, bool, error) {
 	return out, more, nil
 }
 
-// Keys implements Index: the live keys of one snapshot, ascending. Values are
-// neither merged nor copied.
-func (t *Tree) Keys() ([]string, error) {
-	srcs, err := t.scanSnapshot("", "")
+// Keys lists the live keys in [start, end) of one snapshot in ascending
+// order, up to limit, with Scan's bound and cursor conventions: an empty end
+// and a limit <= 0 are unbounded, and more reports that live keys beyond the
+// limit remain in range. Values are neither merged nor copied. Keys("", "", 0)
+// is the full walk.
+func (t *Tree) Keys(start, end string, limit int) ([]string, bool, error) {
+	srcs, err := t.scanSnapshot(start, end)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	var keys []string
-	for it := newMergeIter(srcs, ""); ; {
+	for it := newMergeIter(srcs, start); ; {
 		e, ok := it.next()
-		if !ok {
-			return keys, nil
+		if !ok || (end != "" && e.Key >= end) {
+			return keys, false, nil
 		}
-		if !e.Tombstone {
-			keys = append(keys, e.Key)
+		if e.Tombstone {
+			continue
 		}
+		if limit > 0 && len(keys) >= limit {
+			return keys, true, nil
+		}
+		keys = append(keys, e.Key)
 	}
 }
 

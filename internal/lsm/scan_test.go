@@ -54,6 +54,20 @@ func checkScanLockstep(t *testing.T, step string, tree *lsm.Tree, ref *model.Ref
 				step, start, end, limit, i, got[i].Key, got[i].Value, want[i].Key, want[i].Value)
 		}
 	}
+	// The listing is the same page with the values dropped.
+	keys, keysMore, err := tree.Keys(start, end, limit)
+	if err != nil {
+		t.Fatalf("%s: tree.Keys(%q, %q, %d): %v", step, start, end, limit, err)
+	}
+	if keysMore != wantMore || len(keys) != len(want) {
+		t.Fatalf("%s: Keys(%q, %q, %d) = %v more %v, model page has %d entries more %v",
+			step, start, end, limit, keys, keysMore, len(want), wantMore)
+	}
+	for i := range keys {
+		if keys[i] != want[i].Key {
+			t.Fatalf("%s: Keys(%q, %q, %d) key %d: tree %q model %q", step, start, end, limit, i, keys[i], want[i].Key)
+		}
+	}
 }
 
 // TestScanLockstepRandomOps drives the tree and the composed reference model

@@ -38,8 +38,6 @@ type Index interface {
 	Get(key string) ([]byte, error)
 	// Delete removes key. Deleting an absent key is not an error.
 	Delete(key string, waits ...*dep.Dependency) (*dep.Dependency, error)
-	// Keys returns all live keys in ascending order.
-	Keys() ([]string, error)
 	// Flush persists buffered entries.
 	Flush() (*dep.Dependency, error)
 	// Compact merges on-disk structures; a no-op for the model.

@@ -89,7 +89,7 @@ func TestTreeTombstoneShadowsOlderRuns(t *testing.T) {
 	if _, err := tree.Get("k"); !errors.Is(err, lsm.ErrNotFound) {
 		t.Fatalf("tombstone not honored: %v", err)
 	}
-	keys, _ := tree.Keys()
+	keys, _, _ := tree.Keys("", "", 0)
 	if len(keys) != 0 {
 		t.Fatalf("keys: %v", keys)
 	}
@@ -159,7 +159,7 @@ func TestTreeKeysMergesAllSources(t *testing.T) {
 	_, _ = tree.Flush()
 	_, _ = tree.Put("b", []byte{2})
 	_, _ = tree.Delete("a")
-	keys, err := tree.Keys()
+	keys, _, err := tree.Keys("", "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

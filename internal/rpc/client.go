@@ -491,13 +491,21 @@ func (it *Iterator) Err() error { return it.err }
 
 // --- control plane ---
 
-// List returns all shard ids across disks.
+// List returns all shard ids across disks in ascending order, fetching the
+// server's pages and following each page's continuation token.
 func (c *Client) List(ctx context.Context) ([]string, error) {
-	p, err := c.roundTrip(ctx, &wireReq{op: opList})
-	if err != nil {
-		return nil, err
+	var ids []string
+	for cursor := ""; ; {
+		p, err := c.roundTrip(ctx, &wireReq{op: opList, key: cursor})
+		if err != nil {
+			return nil, err
+		}
+		ids = append(ids, p.keys...)
+		if p.next == "" {
+			return ids, nil
+		}
+		cursor = p.next
 	}
-	return p.keys, nil
 }
 
 // BulkCreate stores a batch of shards (control plane, fail-fast).

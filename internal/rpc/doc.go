@@ -3,8 +3,8 @@
 // shared endpoint "steers requests to target disks based on shard IDs". The
 // interface offers the request-plane calls (put, get, delete, the batched
 // mget/mput/mdelete forms, and the ordered-range scan) and control-plane
-// operations (list, bulk create/remove, remove/return a disk from service,
-// flush, scrub, stats, metrics).
+// operations (the paged list, fail-fast bulk create/remove, remove/return a
+// disk from service, flush, scrub, stats, metrics).
 //
 // # Wire contract (v2)
 //
@@ -69,35 +69,37 @@
 // the sentinel per code — never against message text, which is not part of
 // the contract.
 //
-// # Scan (opcode 19)
+// # Scan (opcode 19) and list (opcode 4)
 //
 // scan reads one ordered page of the half-open range [start, end): live
 // shard ids in ascending byte order, the newest value for each, deleted
-// shards elided. The request payload is
+// shards elided. list reads the same page without the values. Both take the
+// request payload
 //
 //	str(start) str(end) u32(limit)
 //
 // where end "" means unbounded above and limit 0 lets the server choose its
 // page cap (the server clamps every page to its cap regardless). The
-// success response payload is
+// success response payloads are
 //
-//	u32(count) (str(key) bytes(value))* str(next)
+//	scan: u32(count) (str(key) bytes(value))* str(next)
+//	list: u32(count) str(key)* str(next)
 //
 // next is the continuation token: "" means the range is exhausted;
-// otherwise the client resumes the cursor by reissuing the scan with
+// otherwise the client resumes the cursor by reissuing the request with
 // start = next (the token is last returned key + "\x00", so the cursor
-// always advances — a scan can never loop). Pages are bounded by the
+// always advances — a walk can never loop). Pages are bounded by the
 // limit, the server's page cap, and a byte budget that keeps response
 // frames under MaxFrame even with large values, so a client must always be
-// prepared to follow the token; the Iterator type does so transparently.
+// prepared to follow the token; the Iterator type does so for scan and
+// Client.List for list.
 //
-// A range spans the whole steering space, so the server scans every
+// A range spans the whole steering space, so the server pages every
 // in-service backend and merges the ordered per-disk pages (shard ids steer
 // to exactly one disk, making the pages disjoint). Each per-disk page is a
 // point-in-time snapshot of that backend — entries within one disk's page
 // are mutually consistent, while the cross-disk merge is only as atomic as
-// the constituent snapshots. Out-of-service disks drop out of the merge,
-// like list.
+// the constituent snapshots. Out-of-service disks drop out of the merge.
 //
 // # Connections that do not open with the preamble
 //

@@ -175,6 +175,48 @@ func TestListAcrossDisks(t *testing.T) {
 	}
 }
 
+// TestListPagesAcrossDisks: list pages at a limit below the key count merge
+// both disks' pages in order, return a continuation while a disk's page was
+// truncated, and walk to the ordered union of the disks' keys.
+func TestListPagesAcrossDisks(t *testing.T) {
+	ctx := context.Background()
+	_, c := newTestServer(t, 2)
+	var want []string
+	for i := 0; i < 10; i++ {
+		id := fmt.Sprintf("s%02d", i)
+		want = append(want, id)
+		if err := c.Put(ctx, id, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []string
+	for cursor, pages := "", 0; ; pages++ {
+		p, err := c.roundTrip(ctx, &wireReq{op: opList, key: cursor, limit: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.keys) > 3 {
+			t.Fatalf("page %v exceeds limit 3", p.keys)
+		}
+		// Ten keys over two disks: one disk holds at least five, so its
+		// first page of three is truncated.
+		if pages == 0 && p.next == "" {
+			t.Fatalf("first page %v has no continuation", p.keys)
+		}
+		got = append(got, p.keys...)
+		if p.next == "" {
+			break
+		}
+		cursor = p.next
+		if pages > 10 {
+			t.Fatal("list never exhausted")
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("paged list reassembled %v, want %v", got, want)
+	}
+}
+
 func TestBulkOps(t *testing.T) {
 	ctx := context.Background()
 	_, c := newTestServer(t, 2)

@@ -489,22 +489,7 @@ func (s *Server) dispatchInner(q *wireReq, sp *obs.Span) *wireResp {
 		}
 		return &wireResp{code: CodeOK}
 	case opList:
-		// Control plane: list across all disks.
-		var all []string
-		s.mu.Lock()
-		kvs := append([]store.KV(nil), s.kvs...)
-		s.mu.Unlock()
-		for _, kv := range kvs {
-			ids, err := kv.List()
-			if err != nil {
-				if errors.Is(err, store.ErrOutOfService) {
-					continue
-				}
-				return errResp(err)
-			}
-			all = append(all, ids...)
-		}
-		return &wireResp{code: CodeOK, keys: all}
+		return s.page(q, listEntries)
 	case opBulkCreate:
 		if len(q.keys) != len(q.values) {
 			return respErr(CodeBadRequest, "shards/values mismatch")
@@ -526,13 +511,13 @@ func (s *Server) dispatchInner(q *wireReq, sp *obs.Span) *wireResp {
 			if err != nil {
 				return errResp(err)
 			}
-			if _, err := target.BulkRemove([]string{id}); err != nil {
+			if _, err := target.Delete(id); err != nil {
 				return errResp(err)
 			}
 		}
 		return &wireResp{code: CodeOK}
 	case opScan:
-		return s.scan(q)
+		return s.page(q, store.KV.Scan)
 	case opMGet:
 		return s.mGet(q.keys)
 	case opMPut:
@@ -589,23 +574,36 @@ func (s *Server) dispatchInner(q *wireReq, sp *obs.Span) *wireResp {
 	}
 }
 
-// scanPageMax bounds the entries in one scan response when the client asks
-// for an unbounded page; scanByteBudget bounds the page's payload bytes so
-// the response frame stays well under MaxFrame even with large values. The
-// continuation token resumes the cursor where the page stopped.
+// scanPageMax bounds the entries in one scan or list response when the
+// client asks for an unbounded page; scanByteBudget bounds the page's
+// payload bytes so the response frame stays well under MaxFrame even with
+// large values. The continuation token resumes the cursor where the page
+// stopped.
 const (
 	scanPageMax    = 1024
 	scanByteBudget = 8 << 20
 )
 
-// scan serves the ordered-range op: a range spans the whole steering space,
-// so the server scans EVERY in-service backend and merges the pages (shard
-// ids steer to exactly one disk, so the per-disk pages are disjoint and the
-// merge is a sort). A backend that truncated its page caps the completeness
-// horizon at its last key — beyond it, that backend may hold unreturned
-// in-range shards, so entries past the horizon are withheld and the client
-// resumes via the continuation token.
-func (s *Server) scan(q *wireReq) *wireResp {
+// listEntries is a backend's List page as entries without values, so list
+// and scan share one page merge.
+func listEntries(kv store.KV, start, end string, limit int) ([]store.ScanEntry, bool, error) {
+	ids, more, err := kv.List(start, end, limit)
+	entries := make([]store.ScanEntry, len(ids))
+	for i, id := range ids {
+		entries[i].Key = id
+	}
+	return entries, more, err
+}
+
+// page serves the ordered-range ops, scan and list, with fetch reading one
+// backend's page: a range spans the whole steering space, so the server
+// pages EVERY in-service backend and merges the pages (shard ids steer to
+// exactly one disk, so the per-disk pages are disjoint and the merge is a
+// sort). A backend that truncated its page caps the completeness horizon at
+// its last key — beyond it, that backend may hold unreturned in-range
+// shards, so entries past the horizon are withheld and the client resumes
+// via the continuation token.
+func (s *Server) page(q *wireReq, fetch func(kv store.KV, start, end string, limit int) ([]store.ScanEntry, bool, error)) *wireResp {
 	s.mu.Lock()
 	kvs := append([]store.KV(nil), s.kvs...)
 	s.mu.Unlock()
@@ -620,10 +618,10 @@ func (s *Server) scan(q *wireReq) *wireResp {
 	var merged []store.ScanEntry
 	anyMore := false
 	for _, kv := range kvs {
-		entries, more, err := kv.Scan(q.key, q.end, effLimit)
+		entries, more, err := fetch(kv, q.key, q.end, effLimit)
 		if err != nil {
 			if errors.Is(err, store.ErrOutOfService) {
-				continue // like list: out-of-service disks drop out
+				continue // out-of-service disks drop out
 			}
 			return errResp(err)
 		}
@@ -780,7 +778,7 @@ func (s *Server) groupBySteer(keys []string) map[steerGroup][]int {
 // view cannot interleave one disk's counters with traffic that lands
 // between loop iterations over the same disk.
 type diskStats struct {
-	ids       []string
+	shards    int
 	inService bool
 	chunks    struct{ puts, reclaims, gets uint64 }
 	scrub     struct {
@@ -791,8 +789,9 @@ type diskStats struct {
 
 func snapshotDisk(kv store.KV) diskStats {
 	var d diskStats
-	ids, err := kv.List()
-	d.ids = ids
+	// One full listing: a count of the key set costs O(store).
+	ids, _, err := kv.List("", "", 0)
+	d.shards = len(ids)
 	d.inService = !errors.Is(err, store.ErrOutOfService)
 	cs := kv.Chunks().Stats()
 	d.chunks.puts, d.chunks.reclaims, d.chunks.gets = cs.Puts, cs.Reclaims, cs.Gets
@@ -817,8 +816,8 @@ func (s *Server) stats() *Stats {
 	out := &Stats{Disks: len(kvs)}
 	for _, d := range snaps {
 		out.InService = append(out.InService, d.inService)
-		out.ShardsPer = append(out.ShardsPer, len(d.ids))
-		out.Shards += len(d.ids)
+		out.ShardsPer = append(out.ShardsPer, d.shards)
+		out.Shards += d.shards
 		out.ChunkPuts = append(out.ChunkPuts, d.chunks.puts)
 		out.Reclaims = append(out.Reclaims, d.chunks.reclaims)
 		out.GetsPerDisk = append(out.GetsPerDisk, d.chunks.gets)

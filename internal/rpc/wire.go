@@ -10,13 +10,14 @@ import (
 // wireReq is one decoded request, the form dispatch works on.
 type wireReq struct {
 	op     Opcode
-	key    string // also the scan start bound
+	key    string // also the scan and list start bound
 	value  []byte
 	keys   []string
 	values [][]byte
 	disk   int
-	// end/limit are the scan range's exclusive upper bound ("" unbounded)
-	// and page limit (0 unbounded; the server clamps pages anyway).
+	// end/limit are the scan or list range's exclusive upper bound (""
+	// unbounded) and page limit (0 unbounded; the server clamps pages
+	// anyway).
 	end   string
 	limit int
 	// durable requests an acknowledgment only after the mutation is
@@ -31,10 +32,10 @@ type wireResp struct {
 	msg  string
 
 	value     []byte       // get
-	keys      []string     // list; scan page keys
+	keys      []string     // list and scan page keys
 	itemCodes []Code       // mget/mput/mdelete per-item outcomes
 	values    [][]byte     // mget per-item values (parallel to itemCodes); scan page values
-	next      string       // scan continuation token ("" = range exhausted)
+	next      string       // list and scan continuation token ("" = range exhausted)
 	stats     *Stats       // stats
 	scrub     *ScrubStatus // scrub, scrub_status
 	metrics   *obs.Snapshot
@@ -52,11 +53,11 @@ func encodeReq(q *wireReq) ([]byte, error) {
 		w.b = append(w.b, q.value...) // raw tail: no length, no base64
 	case opGet, opDelete:
 		w.str(q.key)
-	case opScan:
+	case opScan, opList:
 		w.str(q.key)
 		w.str(q.end)
 		w.u32(uint32(q.limit))
-	case opList, opStats, opMetrics, opTrace, opSlowLog:
+	case opStats, opMetrics, opTrace, opSlowLog:
 		// empty payload
 	case opRemoveDisk, opReturnDisk, opFlush, opScrub, opScrubStatus:
 		w.u32(uint32(q.disk))
@@ -95,7 +96,7 @@ func decodeReq(op Opcode, payload []byte) (*wireReq, error) {
 		if q.key, err = r.str(); err != nil {
 			return nil, err
 		}
-	case opScan:
+	case opScan, opList:
 		if q.key, err = r.str(); err != nil {
 			return nil, err
 		}
@@ -107,7 +108,7 @@ func decodeReq(op Opcode, payload []byte) (*wireReq, error) {
 			return nil, err
 		}
 		q.limit = int(n)
-	case opList, opStats, opMetrics, opTrace, opSlowLog:
+	case opStats, opMetrics, opTrace, opSlowLog:
 	case opRemoveDisk, opReturnDisk, opFlush, opScrub, opScrubStatus:
 		d, err := r.u32()
 		if err != nil {
@@ -167,6 +168,7 @@ func encodeResp(op Opcode, p *wireResp) ([]byte, error) {
 		for _, k := range p.keys {
 			w.str(k)
 		}
+		w.str(p.next)
 	case opScan:
 		w.u32(uint32(len(p.keys)))
 		for i, k := range p.keys {
@@ -241,6 +243,9 @@ func decodeResp(op Opcode, payload []byte) (*wireResp, error) {
 				return nil, err
 			}
 			p.keys = append(p.keys, k)
+		}
+		if p.next, err = r.str(); err != nil {
+			return nil, err
 		}
 	case opScan:
 		n, err := r.u32()

@@ -18,15 +18,15 @@ import (
 // durable (nil is treated as already-durable by callers that only poll).
 //
 // Batch methods run every item and report per-item outcomes — the wire
-// contract for the v2 multi-op frames — unlike BulkRemove, which is
-// control-plane and fail-fast.
+// contract for the v2 multi-op frames. The fail-fast control-plane bulk
+// operations are the server's loops over Put and Delete.
 //
 // Scan returns the live shards in [start, end) in ascending key order,
 // bounded by limit (<= 0 means unbounded; empty end means unbounded). more
 // reports that in-range shards beyond the limit remain; resume the cursor
 // with start = lastKey + "\x00". The page is snapshot-consistent: it
 // reflects one logical point in time even when flushes or compactions run
-// concurrently.
+// concurrently. List is the same page with the values dropped.
 //
 // NOTE (shardlint): a wrapper the conformance harness or the shuttle model
 // checker will drive is an *instrumented package* in the sense of the
@@ -38,8 +38,7 @@ type KV interface {
 	Put(shardID string, value []byte) (*dep.Dependency, error)
 	Get(shardID string) ([]byte, error)
 	Delete(shardID string) (*dep.Dependency, error)
-	List() ([]string, error)
-	BulkRemove(ids []string) (*dep.Dependency, error)
+	List(start, end string, limit int) (ids []string, more bool, err error)
 
 	PutBatch(ids []string, values [][]byte) []error
 	GetBatch(ids []string) ([][]byte, []error)

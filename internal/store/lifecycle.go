@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -123,105 +124,33 @@ func (s *Store) CrashKeep(keep func(disk.PageAddr) bool) (kept, lost []disk.Page
 // --- control plane (§2.1 RPC interface: "control-plane operations for
 // migration and repair") ---
 
-// List returns the shard ids known to the control plane. The correct
-// implementation snapshots the catalog under the lock; seeded bug #13 reads
-// the length and the elements in separate steps, racing with concurrent
-// removals.
-func (s *Store) List() ([]string, error) {
+// List returns the live shard ids in [start, end) in ascending order, up to
+// limit, with Scan's bound and cursor conventions (see KV). The page is one
+// index snapshot's merge with the values dropped: it costs the index's runs
+// and the page, not the store, and reads no shard data. Seeded bug #13 reads
+// the listing's length once and then takes element i of a fresh snapshot at
+// each step, racing with concurrent removals that shift the positions.
+func (s *Store) List(start, end string, limit int) ([]string, bool, error) {
 	if err := s.requireInService(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	if s.bugs().Enabled(faults.Bug13ListRemoveRace) {
-		s.mu.Lock()
-		n := len(s.catalog)
-		s.mu.Unlock()
+	keys, more, err := s.idx.Keys(start, end, limit)
+	if err != nil || !s.bugs().Enabled(faults.Bug13ListRemoveRace) {
+		return keys, more, err
+	}
+	out := make([]string, 0, len(keys))
+	for i := range keys {
 		vsync.Yield()
-		out := make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			s.mu.Lock()
-			if i < len(s.catalog) {
-				out = append(out, s.catalog[i])
-			}
-			s.mu.Unlock()
-			vsync.Yield()
-		}
-		s.obs.Hit("store.bug13.racy_list")
-		return out, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.catalog...), nil
-}
-
-// BulkCreate stores a batch of shards (a control-plane repair/migration
-// operation). values[i] is stored under ids[i].
-func (s *Store) BulkCreate(ids []string, values [][]byte) (*dep.Dependency, error) {
-	if len(ids) != len(values) {
-		return nil, fmt.Errorf("store: bulk create: %d ids, %d values", len(ids), len(values))
-	}
-	d := dep.Resolved()
-	for i, id := range ids {
-		pd, err := s.Put(id, values[i])
+		fresh, _, err := s.idx.Keys(start, end, limit)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		d = d.And(pd)
-		vsync.Yield()
-	}
-	s.obs.Hit("store.bulk_create")
-	return d, nil
-}
-
-// BulkRemove deletes a batch of shards. The correct implementation looks up
-// and removes each shard atomically; seeded bug #16 captures the catalog
-// position in one step and deletes whatever occupies that position in a
-// later step — racing with a concurrent bulk create, it can remove a shard
-// the caller never named.
-func (s *Store) BulkRemove(ids []string) (*dep.Dependency, error) {
-	if err := s.requireInService(); err != nil {
-		return nil, err
-	}
-	d := dep.Resolved()
-	for _, id := range ids {
-		if s.bugs().Enabled(faults.Bug16BulkCreateRemoveRace) {
-			s.mu.Lock()
-			pos := -1
-			for i, c := range s.catalog {
-				if c == id {
-					pos = i
-					break
-				}
-			}
-			s.mu.Unlock()
-			if pos < 0 {
-				continue
-			}
-			vsync.Yield() // a concurrent BulkCreate can shift the catalog here
-			s.mu.Lock()
-			if pos < len(s.catalog) {
-				victim := s.catalog[pos]
-				s.catalog = append(s.catalog[:pos], s.catalog[pos+1:]...)
-				s.mu.Unlock()
-				dd, err := s.idx.Delete(victim)
-				if err != nil {
-					return nil, err
-				}
-				d = d.And(dd)
-				s.obs.Hit("store.bug16.positional_delete")
-			} else {
-				s.mu.Unlock()
-			}
-			continue
+		if i < len(fresh) {
+			out = append(out, fresh[i])
 		}
-		dd, err := s.Delete(id)
-		if err != nil {
-			return nil, err
-		}
-		d = d.And(dd)
-		vsync.Yield()
 	}
-	s.obs.Hit("store.bulk_remove")
-	return d, nil
+	s.obs.Hit("store.bug13.racy_list")
+	return out, more, nil
 }
 
 // RemoveFromService takes the disk out of service for maintenance (a
@@ -273,11 +202,13 @@ func (s *Store) bugs() *faults.Set { return s.cfg.Bugs }
 
 type dataResolver struct{ s *Store }
 
-// ChunkLive reports whether the index still references loc for key.
+// ChunkLive reports whether the index still references loc for key. Only a
+// key the index does not hold makes the chunk garbage: a lookup that fails
+// (a run that did not load) counts it live, and RelocateChunk then decides.
 func (r dataResolver) ChunkLive(key string, loc chunk.Locator) bool {
 	entry, err := r.s.idx.Get(key)
 	if err != nil {
-		return false
+		return !errors.Is(err, ErrNotFound)
 	}
 	locs, err := DecodeEntry(entry)
 	if err != nil {
@@ -299,8 +230,11 @@ func (r dataResolver) RelocateChunk(key string, old, newLoc chunk.Locator, newDe
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	entry, err := s.idx.Get(key)
-	if err != nil {
+	if errors.Is(err, ErrNotFound) {
 		return false, nil, nil // entry gone; evacuated copy becomes garbage
+	}
+	if err != nil {
+		return false, nil, err // the reclamation aborts and resets nothing
 	}
 	groups, err := DecodeEntryGroups(entry)
 	if err != nil {

@@ -80,11 +80,11 @@ func TestOutOfServiceRejectsEverything(t *testing.T) {
 	if _, err := s.Delete("k"); !errors.Is(err, ErrOutOfService) {
 		t.Fatalf("delete: %v", err)
 	}
-	if _, err := s.List(); !errors.Is(err, ErrOutOfService) {
+	if _, _, err := s.List("", "", 0); !errors.Is(err, ErrOutOfService) {
 		t.Fatalf("list: %v", err)
 	}
-	if _, err := s.BulkRemove([]string{"k"}); !errors.Is(err, ErrOutOfService) {
-		t.Fatalf("bulk remove: %v", err)
+	if errs := s.DeleteBatch([]string{"k"}); !errors.Is(errs[0], ErrOutOfService) {
+		t.Fatalf("batch delete: %v", errs[0])
 	}
 	// RemoveFromService twice: second is rejected.
 	if err := s.RemoveFromService(); !errors.Is(err, ErrOutOfService) {
@@ -115,12 +115,12 @@ func TestCatalogSurvivesReboot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, err := s2.List()
+	ids, _, err := s2.List("", "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ids) != 3 || ids[0] != "a" || ids[1] != "m" || ids[2] != "z" {
-		t.Fatalf("catalog after reboot: %v", ids)
+		t.Fatalf("listing after reboot: %v", ids)
 	}
 }
 
@@ -174,9 +174,13 @@ func TestBug13RacyListIsSequentiallyInvisible(t *testing.T) {
 	for _, id := range []string{"a", "b", "c"} {
 		_, _ = s.Put(id, []byte(id))
 	}
-	ids, err := s.List()
-	if err != nil || len(ids) != 3 {
+	ids, _, err := s.List("", "", 0)
+	if err != nil || fmt.Sprint(ids) != "[a b c]" {
 		t.Fatalf("sequential racy list: %v %v", ids, err)
+	}
+	ids, more, err := s.List("a\x00", "", 1)
+	if err != nil || fmt.Sprint(ids) != "[b]" || !more {
+		t.Fatalf("sequential racy page: %v more=%v %v", ids, more, err)
 	}
 }
 
@@ -186,8 +190,8 @@ func TestBug16PositionalRemoveSequentiallyCorrect(t *testing.T) {
 	s, _ := mustOpen(t, cfg)
 	_, _ = s.Put("a", []byte{1})
 	_, _ = s.Put("b", []byte{2})
-	if _, err := s.BulkRemove([]string{"a"}); err != nil {
-		t.Fatal(err)
+	if errs := s.DeleteBatch([]string{"a", "absent"}); errs[0] != nil || errs[1] != nil {
+		t.Fatal(errs)
 	}
 	if _, err := s.Get("a"); !errors.Is(err, ErrNotFound) {
 		t.Fatal("a not removed")
@@ -257,7 +261,7 @@ func TestReseedMakesStoresIdentical(t *testing.T) {
 		if err := s.Pump(); err != nil {
 			t.Fatal(err)
 		}
-		keys, _ := s.Keys()
+		keys, _, _ := s.List("", "", 0)
 		return keys, d
 	}
 	a, da := run(555)

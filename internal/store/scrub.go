@@ -15,7 +15,10 @@ import (
 
 type scrubHost struct{ s *Store }
 
-func (h scrubHost) LiveKeys() ([]string, error) { return h.s.idx.Keys() }
+func (h scrubHost) LiveKeys() ([]string, error) {
+	keys, _, err := h.s.idx.Keys("", "", 0)
+	return keys, err
+}
 
 func (h scrubHost) ReadEntry(key string) ([][]chunk.Locator, error) {
 	entry, err := h.s.idx.Get(key)

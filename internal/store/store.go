@@ -1,8 +1,8 @@
 // Package store implements the ShardStore key-value storage node API (§2 of
 // the paper): put/get/delete of shards, the background maintenance tasks
 // (index flush and compaction, chunk reclamation, superblock flush), clean
-// shutdown, crash + recovery, and the control-plane operations (list, bulk
-// create/remove, remove/return from service).
+// shutdown, crash + recovery, and the control-plane operations (list,
+// remove/return from service).
 //
 // A shard's value is split into one or more data chunks in the chunk store;
 // the index entry written to the LSM tree is the encoded list of chunk
@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"shardstore/internal/chunk"
@@ -112,7 +111,6 @@ type storeMetrics struct {
 	getLat      *obs.Histogram
 	deleteLat   *obs.Histogram
 	scanLat     *obs.Histogram
-	shardCount  *obs.Gauge
 	maintErrors *obs.Counter
 }
 
@@ -130,7 +128,6 @@ func newStoreMetrics(o *obs.Obs) storeMetrics {
 		getLat:      o.Histogram("store.get_lat"),
 		deleteLat:   o.Histogram("store.delete_lat"),
 		scanLat:     o.Histogram("store.scan_lat"),
-		shardCount:  o.Gauge("store.shards"),
 		maintErrors: o.Counter("store.maintain_errors"),
 	}
 }
@@ -156,10 +153,6 @@ type Store struct {
 	loopStop  chan struct{}
 	loopDone  chan struct{}
 	loopEvery time.Duration
-
-	// catalog is the control plane's sorted view of shard ids (bug #13/#16
-	// sites operate on it).
-	catalog []string
 
 	inService bool
 }
@@ -206,12 +199,6 @@ func Open(d *disk.Disk, cfg Config) (*Store, error) {
 	cs.RegisterResolver(chunk.TagData, dataResolver{s: s})
 	s.scrubber = scrub.New(scrubHost{s: s}, scrub.Config{Obs: cfg.Obs}, bugs)
 	s.compactor = compact.New(compactHost{s: s}, cfg.Compact, cfg.Obs)
-	keys, err := idx.Keys()
-	if err != nil {
-		return nil, fmt.Errorf("store: catalog rebuild: %w", err)
-	}
-	s.catalog = keys
-	s.met.shardCount.Set(int64(len(keys)))
 	s.obs.Hit("store.open")
 	return s, nil
 }
@@ -414,13 +401,10 @@ func (s *Store) putInner(shardID string, data []byte) (*dep.Dependency, error) {
 	// that serves stale shard data.
 	s.mu.Lock()
 	idxDep, err := s.idx.Put(shardID, encodeEntryGroups(groups), dataDep)
+	s.mu.Unlock()
 	if err != nil {
-		s.mu.Unlock()
 		return nil, err
 	}
-	s.catalogInsertLocked(shardID)
-	s.met.shardCount.Set(int64(len(s.catalog)))
-	s.mu.Unlock()
 	s.obs.Hit("store.put")
 	return dataDep.And(idxDep), nil
 }
@@ -576,13 +560,10 @@ func (s *Store) deleteInner(shardID string) (*dep.Dependency, error) {
 	// the relocated entry resurrects the deleted shard.
 	s.mu.Lock()
 	d, err := s.idx.Delete(shardID)
+	s.mu.Unlock()
 	if err != nil {
-		s.mu.Unlock()
 		return nil, err
 	}
-	s.catalogRemoveLocked(shardID)
-	s.met.shardCount.Set(int64(len(s.catalog)))
-	s.mu.Unlock()
 	s.obs.Hit("store.delete")
 	return d, nil
 }
@@ -594,31 +575,6 @@ func (s *Store) requireInService() error {
 		return ErrOutOfService
 	}
 	return nil
-}
-
-// --- catalog (control plane view) ---
-
-func (s *Store) catalogInsertLocked(id string) {
-	i := sort.SearchStrings(s.catalog, id)
-	if i < len(s.catalog) && s.catalog[i] == id {
-		return
-	}
-	s.catalog = append(s.catalog, "")
-	copy(s.catalog[i+1:], s.catalog[i:])
-	s.catalog[i] = id
-}
-
-func (s *Store) catalogRemoveLocked(id string) {
-	i := sort.SearchStrings(s.catalog, id)
-	if i < len(s.catalog) && s.catalog[i] == id {
-		s.catalog = append(s.catalog[:i], s.catalog[i+1:]...)
-	}
-}
-
-// Keys returns the live shard ids directly from the index (bypassing the
-// control-plane catalog); used by conformance invariant checks.
-func (s *Store) Keys() ([]string, error) {
-	return s.idx.Keys()
 }
 
 // --- background maintenance (explicit so harnesses control scheduling) ---

@@ -279,36 +279,21 @@ func TestBug4LosesShardAcrossServiceCycle(t *testing.T) {
 	}
 }
 
-func TestListMatchesCatalog(t *testing.T) {
-	s, _ := mustOpen(t, testConfig(12))
-	ids := []string{"b", "a", "c"}
-	for _, id := range ids {
-		if _, err := s.Put(id, []byte(id)); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-	}
-	got, err := s.List()
-	if err != nil {
-		t.Fatalf("List: %v", err)
-	}
-	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Fatalf("List = %v", got)
-	}
-}
-
-func TestBulkCreateRemove(t *testing.T) {
+func TestPutDeleteBatchList(t *testing.T) {
 	s, _ := mustOpen(t, testConfig(13))
 	ids := []string{"x", "y", "z"}
 	vals := [][]byte{[]byte("1"), []byte("2"), []byte("3")}
-	if _, err := s.BulkCreate(ids, vals); err != nil {
-		t.Fatalf("BulkCreate: %v", err)
+	for i, err := range s.PutBatch(ids, vals) {
+		if err != nil {
+			t.Fatalf("PutBatch item %d: %v", i, err)
+		}
 	}
-	if _, err := s.BulkRemove([]string{"y"}); err != nil {
-		t.Fatalf("BulkRemove: %v", err)
+	if errs := s.DeleteBatch([]string{"y"}); errs[0] != nil {
+		t.Fatalf("DeleteBatch: %v", errs[0])
 	}
-	got, _ := s.List()
-	if len(got) != 2 || got[0] != "x" || got[1] != "z" {
-		t.Fatalf("List after bulk remove = %v", got)
+	got, more, _ := s.List("", "", 0)
+	if len(got) != 2 || got[0] != "x" || got[1] != "z" || more {
+		t.Fatalf("List after batch delete = %v (more %v)", got, more)
 	}
 	if _, err := s.Get("y"); err != ErrNotFound {
 		t.Fatalf("removed shard still readable: %v", err)

@@ -99,4 +99,8 @@ go test -run 'TestScanLockstepRandomOps|TestScanCursorWalk|TestScanLimitsArePref
 go test -run 'TestScanConformanceSmoke|TestScanTornLevelSwapDetected|TestScanVerdictHonesty' -count=1 ./internal/core/
 go test -run 'TestScanOverRPC|TestScanContinuationToken|TestScanIteratorRefetch|TestScanIteratorServerClosed|TestCapabilityOpcodeMatrix|TestBatchPerItemOutcomes' -count=1 ./internal/rpc/
 
+echo "== listing gate (Open and a List page scale-free in the key count; paging across flush/compaction and over rpc; seeded #13/#16 at their sites)"
+go test -run 'TestOpenAndListAreScaleFree|TestListPages|TestPutDeleteBatchList|TestBug13RacyListIsSequentiallyInvisible|TestBug16PositionalRemoveSequentiallyCorrect' -count=1 -v ./internal/store/ | grep -E 'keys: reopen|ok  |PASS|FAIL'
+go test -run 'TestListPagesAcrossDisks|TestListAcrossDisks|TestOpcodeCoverage|TestCapabilityOpcodeMatrix' -count=1 ./internal/rpc/
+
 echo "CI PASS"
